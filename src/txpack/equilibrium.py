@@ -24,9 +24,6 @@ class RawMarginals:
     ids: np.ndarray
     values: np.ndarray
 
-    def as_dict(self) -> dict:
-        return {int(i): float(v) for i, v in zip(self.ids, self.values)}
-
 
 @dataclass(frozen=True)
 class MarginalProfile:

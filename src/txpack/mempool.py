@@ -2,18 +2,37 @@
 
 Wire format: ``{"transactions": [{"id": int, "gas_price": num, "size": num}, ...]}``
 with ``size`` defaulting to 1.0. Input order is preserved and acts as the
-canonical tie-break order everywhere else in the package.
+canonical tie-break order everywhere else in the package. Every constructor
+applies one rule set: ids are unique, non-negative, non-boolean integers;
+``gas_price`` and ``size`` are finite and > 0. A violation raises
+ValidationError naming the offending id.
 """
 
 from __future__ import annotations
 
-import io
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
+
+
+def _id_column(ids) -> np.ndarray:
+    """Ids as an int64 array; each must be a non-negative, non-boolean integer."""
+    if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu"):
+        ids = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
+        # Checking the distinct types keeps the all-int case at C speed.
+        bad = {t for t in set(map(type, ids)) if t is bool or not issubclass(t, (int, np.integer))}
+        if bad:
+            bad_id = next(i for i in ids if type(i) in bad)
+            raise ValidationError(f"transaction id must be a non-negative integer, got {bad_id!r}")
+    col = np.asarray(ids, dtype=np.int64)
+    if (col < 0).any():
+        raise ValidationError(f"transaction id must be a non-negative integer, got {col[col < 0][0]}")
+    return col
 
 
 @dataclass(frozen=True)
@@ -25,12 +44,7 @@ class Transaction:
     size: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.id, (int, np.integer)) or self.id < 0:
-            raise ValidationError(f"transaction id must be a non-negative integer, got {self.id!r}")
-        if not self.gas_price > 0:
-            raise ValidationError(f"transaction {self.id}: gas_price must be > 0, got {self.gas_price!r}")
-        if not self.size > 0:
-            raise ValidationError(f"transaction {self.id}: size must be > 0, got {self.size!r}")
+        Mempool.from_arrays([self.id], [self.gas_price], [self.size])  # the mempool's own rules
 
     @property
     def gas_fee(self) -> float:
@@ -38,63 +52,46 @@ class Transaction:
 
 
 class Mempool:
-    """Immutable ordered collection of transactions with unique ids.
+    """Immutable ordered table of transactions with unique ids.
 
-    Exposes numpy views (prices, sizes, log-prices) aligned to input order;
-    all solver math is vectorized over these arrays.
+    Numpy arrays (ids, prices, sizes, log-prices) aligned to input order are the
+    representation; ``Transaction`` objects are built only on iteration or indexing.
     """
 
     def __init__(self, transactions):
         txs = tuple(transactions)
-        seen = set()
-        for tx in txs:
-            if tx.id in seen:
-                raise ValidationError(f"duplicate transaction id {tx.id}")
-            seen.add(tx.id)
-        self._txs = txs
-        self.ids = np.array([tx.id for tx in txs], dtype=np.int64)
-        self.prices = np.array([tx.gas_price for tx in txs], dtype=np.float64)
-        self.sizes = np.array([tx.size for tx in txs], dtype=np.float64)
-        self.log_prices = np.log(self.prices)
-        for arr in (self.ids, self.prices, self.sizes, self.log_prices):
-            arr.setflags(write=False)
-        self._index = {tx.id: i for i, tx in enumerate(txs)}
+        self._set_columns([t.id for t in txs], [t.gas_price for t in txs], [t.size for t in txs])
 
     @classmethod
     def from_arrays(cls, ids, gas_prices, sizes=None) -> "Mempool":
-        """Bulk constructor that validates vectorized, skipping per-object checks."""
-        ids = np.asarray(ids, dtype=np.int64)
-        prices = np.asarray(gas_prices, dtype=np.float64)
-        sizes = np.ones_like(prices) if sizes is None else np.asarray(sizes, dtype=np.float64)
-        if np.any(ids < 0):
-            raise ValidationError("transaction ids must be non-negative")
-        if len(np.unique(ids)) != len(ids):
-            raise ValidationError("duplicate transaction ids")
-        if np.any(prices <= 0):
-            bad = ids[prices <= 0][0]
-            raise ValidationError(f"transaction {bad}: gas_price must be > 0")
-        if np.any(sizes <= 0):
-            bad = ids[sizes <= 0][0]
-            raise ValidationError(f"transaction {bad}: size must be > 0")
+        """Build from id, price and (default all-ones) size columns."""
         self = cls.__new__(cls)
-        self._txs = None  # materialized lazily
-        self.ids = ids
-        self.prices = prices
-        self.sizes = sizes
+        self._set_columns(ids, gas_prices, sizes)
+        return self
+
+    def _set_columns(self, ids, gas_prices, sizes):
+        """The one initialiser and validator behind every constructor."""
+        ids = _id_column(ids)
+        prices = np.asarray(gas_prices, dtype=np.float64)
+        sizes = np.ones(len(ids)) if sizes is None else np.asarray(sizes, dtype=np.float64)
+        if not (ids.ndim == 1 and ids.shape == prices.shape == sizes.shape):
+            raise ValidationError("ids, gas prices and sizes must be 1-D arrays of equal length")
+        for name, col in (("gas_price", prices), ("size", sizes)):
+            bad = ids[~(np.isfinite(col) & (col > 0))]
+            if bad.size:
+                raise ValidationError(f"transaction {bad[0]}: {name} must be finite and > 0")
+        uniq, counts = np.unique(ids, return_counts=True)
+        if (counts > 1).any():
+            raise ValidationError(f"duplicate transaction id {uniq[counts > 1][0]}")
+        self.ids, self.prices, self.sizes = ids, prices, sizes
         self.log_prices = np.log(prices)
         for arr in (self.ids, self.prices, self.sizes, self.log_prices):
             arr.setflags(write=False)
-        self._index = None
-        return self
+        self._id_order = None  # argsort of ids, built on the first lookup
 
-    @property
+    @cached_property
     def transactions(self) -> tuple:
-        if self._txs is None:
-            self._txs = tuple(
-                Transaction(int(i), float(v), float(s))
-                for i, v, s in zip(self.ids, self.prices, self.sizes)
-            )
-        return self._txs
+        return tuple(map(Transaction, self.ids.tolist(), self.prices.tolist(), self.sizes.tolist()))
 
     @property
     def total_size(self) -> float:
@@ -105,10 +102,20 @@ class Mempool:
     def is_unit_size(self) -> bool:
         return bool(np.all(self.sizes == 1.0))
 
+    def positions(self, txids) -> np.ndarray:
+        """Mempool positions of the given ids; an unknown id raises ValidationError."""
+        want = _id_column(txids)
+        if self._id_order is None:
+            self._id_order = np.argsort(self.ids)
+        at = np.searchsorted(self.ids, want, sorter=self._id_order)
+        known = at < len(self)
+        known[known] = self.ids[self._id_order[at[known]]] == want[known]
+        if not known.all():
+            raise ValidationError(f"unknown transaction id {want[~known][0]}")
+        return self._id_order[at]
+
     def index_of(self, txid: int) -> int:
-        if self._index is None:
-            self._index = {int(i): n for n, i in enumerate(self.ids)}
-        return self._index[txid]
+        return int(self.positions([txid])[0])
 
     def __len__(self):
         return len(self.ids)
@@ -122,7 +129,8 @@ class Mempool:
     def __eq__(self, other):
         if not isinstance(other, Mempool):
             return NotImplemented
-        return self.transactions == other.transactions
+        columns = ("ids", "prices", "sizes")
+        return all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns)
 
     def __repr__(self):
         return f"Mempool({len(self)} txs, total_size={self.total_size:g})"
@@ -130,8 +138,8 @@ class Mempool:
     def to_dict(self) -> dict:
         return {
             "transactions": [
-                {"id": int(tx.id), "gas_price": float(tx.gas_price), "size": float(tx.size)}
-                for tx in self.transactions
+                {"id": i, "gas_price": v, "size": s}
+                for i, v, s in zip(self.ids.tolist(), self.prices.tolist(), self.sizes.tolist())
             ]
         }
 
@@ -144,10 +152,10 @@ class GameParams:
     lam: float
 
     def __post_init__(self):
-        if not self.k > 0:
-            raise ValidationError(f"k must be > 0, got {self.k!r}")
-        if self.lam < 0:
-            raise ValidationError(f"lambda must be >= 0, got {self.lam!r}")
+        if not (math.isfinite(self.k) and self.k > 0):
+            raise ValidationError(f"k must be finite and > 0, got {self.k!r}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValidationError(f"lambda must be finite and >= 0, got {self.lam!r}")
 
     def require_integer_k(self):
         if self.k != int(self.k):
@@ -176,16 +184,17 @@ def load_mempool(source) -> Mempool:
     records = doc["transactions"]
     if not isinstance(records, list):
         raise ValidationError('"transactions" must be an array')
-    txs = []
-    for n, rec in enumerate(records):
-        if not isinstance(rec, dict) or "id" not in rec or "gas_price" not in rec:
-            raise ValidationError(f'transaction record #{n} must have "id" and "gas_price"')
-        txs.append(Transaction(rec["id"], float(rec["gas_price"]), float(rec.get("size", 1.0))))
-    return Mempool(txs)
+    try:
+        ids = [rec["id"] for rec in records]
+        prices = [rec["gas_price"] for rec in records]
+        sizes = [rec.get("size", 1.0) for rec in records]
+    except (TypeError, KeyError) as e:
+        raise ValidationError(f'every transaction record needs "id" and "gas_price": {e!r}') from e
+    return Mempool.from_arrays(ids, prices, sizes)
 
 
 def load_mempool_file(path) -> Mempool:
-    with io.open(path, "rb") as fh:
+    with open(path, "rb") as fh:
         return load_mempool(fh)
 
 

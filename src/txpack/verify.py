@@ -20,17 +20,17 @@ from .errors import ValidationError
 from .mempool import GameParams, Mempool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UtilityReport:
     """Expected gas fee conditional on mining, with per-transaction terms."""
 
     value: float
-    per_tx: dict
+    ids: np.ndarray
+    contributions: np.ndarray
 
-    @classmethod
-    def from_contributions(cls, ids, contributions):
-        per_tx = {int(i): float(c) for i, c in zip(ids, contributions)}
-        return cls(float(np.sum(contributions)), per_tx)
+    @property
+    def per_tx(self) -> dict:
+        return dict(zip(self.ids.tolist(), self.contributions.tolist()))
 
 
 @dataclass(frozen=True)
@@ -55,18 +55,17 @@ class EquilibriumVerdict:
 
 
 def _own_vector(own, mempool: Mempool) -> np.ndarray:
-    """Normalize a profile, mapping, or pure id-set to marginals in mempool order."""
+    """Marginals in mempool order from a profile, a mapping or a pure id-set (absent ids: 0)."""
     if isinstance(own, MarginalProfile):
         if len(own.ids) != len(mempool) or not np.array_equal(own.ids, mempool.ids):
             raise ValidationError("profile does not match the mempool")
         return np.asarray(own.values, dtype=np.float64)
+    p = np.zeros(len(mempool))
     if isinstance(own, dict):
-        return np.array([own.get(int(i), 0.0) for i in mempool.ids], dtype=np.float64)
-    chosen = set(int(t) for t in own)
-    unknown = chosen - set(int(i) for i in mempool.ids)
-    if unknown:
-        raise ValidationError(f"pure strategy contains unknown ids {sorted(unknown)}")
-    return np.array([1.0 if int(i) in chosen else 0.0 for i in mempool.ids])
+        p[mempool.positions(own.keys())] = np.fromiter(own.values(), np.float64, len(own))
+    else:
+        p[mempool.positions(own)] = 1.0
+    return p
 
 
 def discounted_prices(others: MarginalProfile, mempool: Mempool, params: GameParams) -> np.ndarray:
@@ -80,7 +79,7 @@ def expected_utility(own, others: MarginalProfile, mempool: Mempool, params: Gam
     if np.any(p_own < 0) or np.any(p_own > 1 + 1e-12):
         raise ValidationError("own marginals must lie in [0, 1]")
     contributions = p_own * discounted_prices(others, mempool, params)
-    return UtilityReport.from_contributions(mempool.ids, contributions)
+    return UtilityReport(float(np.sum(contributions)), mempool.ids, contributions)
 
 
 def best_response(others: MarginalProfile, mempool: Mempool, params: GameParams):
@@ -90,13 +89,11 @@ def best_response(others: MarginalProfile, mempool: Mempool, params: GameParams)
     """
     k = params.require_integer_k()
     vt = discounted_prices(others, mempool, params)
-    if k >= len(mempool):
-        chosen = np.arange(len(mempool))
-    else:
-        order = np.argsort(-vt, kind="stable")  # stable keeps input order on ties
-        chosen = np.sort(order[:k])
-    txids = tuple(int(mempool.ids[i]) for i in chosen)
-    return txids, expected_utility(set(txids), others, mempool, params)
+    chosen = np.sort(np.argsort(-vt, kind="stable")[:k])  # stable keeps input order on ties
+    contributions = np.zeros(len(mempool))
+    contributions[chosen] = vt[chosen]
+    txids = tuple(mempool.ids[chosen].tolist())
+    return txids, UtilityReport(float(np.sum(contributions)), mempool.ids, contributions)
 
 
 def verify_equilibrium(

@@ -162,3 +162,127 @@ def test_twelve_significant_digits(capsys, golden_mempool_file):
         capsys, "basefee", "--mempool", str(golden_mempool_file), "--k", "3", "--lambda", "1"
     )
     assert "0.716531310574" in out  # e^(-1/3) at 12 significant digits
+
+
+# Exact stdout of each subcommand on the golden mempool (k = 3, lambda = 1),
+# so that any byte change in the output between versions is caught.
+GOLDEN_STDOUT = {
+    ("equilibrium",): """{
+  "marginals": [
+    {
+      "id": 1,
+      "p": 0.333333333333
+    },
+    {
+      "id": 2,
+      "p": 1
+    },
+    {
+      "id": 3,
+      "p": 0.25
+    },
+    {
+      "id": 4,
+      "p": 0.75
+    },
+    {
+      "id": 5,
+      "p": 0.333333333333
+    },
+    {
+      "id": 6,
+      "p": 0.333333333333
+    },
+    {
+      "id": 7,
+      "p": 0
+    }
+  ],
+  "xhat": 0.333333333333,
+  "w": 0.716531310574
+}
+""",
+    ("basefee", "--fee-mode", "xhat"): """{
+  "v_low": 0.716531310574,
+  "v_high": 1.94773404105,
+  "mode": "xhat_aware",
+  "xhat": 0.333333333333
+}
+""",
+    ("basefee", "--fee-mode", "paper"): """{
+  "v_low": 0.513417119033,
+  "v_high": 1.39561242509,
+  "mode": "paper_closed_form",
+  "xhat": 0
+}
+""",
+    ("verify",): """{
+  "passes": true,
+  "w": 0.716531310574,
+  "worst_violation": 1.54944104778e-16,
+  "brute_force": {
+    "passes": true,
+    "w": 0.716531310574,
+    "worst_violation": 0
+  }
+}
+""",
+    ("sample", "--r", "0.37"): """{
+  "txids": [
+    2,
+    3,
+    5
+  ],
+  "used_capacity": 3
+}
+""",
+    ("simulate", "--trials", "200", "--seed", "9"): """[
+  {
+    "strategy": "equilibrium",
+    "trials": 200,
+    "seed": 9,
+    "mean_exclusive_revenue": 2.42907107803,
+    "stderr_exclusive_revenue": 0.153170365944,
+    "mean_duplication_rate": 0.102222222222,
+    "mean_unique_tx": 2.245,
+    "mean_chain_revenue": 3.5890515932
+  }
+]
+""",
+}
+
+
+@pytest.mark.parametrize("extra", GOLDEN_STDOUT, ids=" ".join)
+def test_golden_stdout_bytes(capsys, golden_mempool_file, extra):
+    rc, out, _ = run_cli(
+        capsys, extra[0], "--mempool", str(golden_mempool_file), "--k", "3", "--lambda", "1",
+        *extra[1:],
+    )
+    assert rc == 0
+    assert out == GOLDEN_STDOUT[extra]
+
+
+def test_infinite_price_exits_1(capsys, tmp_path):
+    path = tmp_path / "inf.json"
+    path.write_text('{"transactions": [{"id": 1, "gas_price": 2.0}, {"id": 8, "gas_price": Infinity}]}')
+    rc, out, err = run_cli(capsys, "equilibrium", "--mempool", str(path), "--k", "1", "--lambda", "1")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "transaction 8" in err
+
+
+@pytest.mark.parametrize("ids", [
+    [1, 2, 3, 4, 5, 6],  # id 7 missing
+    [1, 2, 3, 4, 5, 6, 7, 99],  # 99 is not in the mempool
+    [1, 2, 3, 4, 5, 6, 7, 1],  # id 1 twice
+], ids=["missing", "unknown", "duplicated"])
+def test_profile_must_match_mempool(capsys, tmp_path, golden_mempool_file, ids):
+    ppath = tmp_path / "profile.json"
+    ppath.write_text(json.dumps({"marginals": [{"id": i, "p": 0.5} for i in ids]}))
+    rc, out, err = run_cli(
+        capsys, "verify", "--mempool", str(golden_mempool_file),
+        "--k", "3", "--lambda", "1", "--profile", str(ppath),
+    )
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:")

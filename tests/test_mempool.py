@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from txpack import Mempool, Transaction, ValidationError, dump_mempool, load_mempool
+from txpack import GameParams, Mempool, Transaction, ValidationError, dump_mempool, load_mempool
+from txpack.mempool import load_mempool_file
 
 
 def test_load_golden_fixture(golden_mempool):
@@ -98,3 +101,74 @@ def test_transaction_invariants():
     with pytest.raises(ValidationError):
         Transaction(0, 0.0)
     assert Transaction(0, 2.0, 3.0).gas_fee == 6.0
+
+
+NAN, INF = float("nan"), float("inf")
+
+# (ids, gas prices, sizes, pattern the error must match); each names its offender
+BAD_TABLES = {
+    "nan price": ([0, 7], [1.0, NAN], [1.0, 1.0], "transaction 7: gas_price"),
+    "+inf price": ([0, 7], [1.0, INF], [1.0, 1.0], "transaction 7: gas_price"),
+    "-inf price": ([0, 7], [1.0, -INF], [1.0, 1.0], "transaction 7: gas_price"),
+    "nan size": ([0, 7], [1.0, 1.0], [1.0, NAN], "transaction 7: size"),
+    "+inf size": ([0, 7], [1.0, 1.0], [1.0, INF], "transaction 7: size"),
+    "-inf size": ([0, 7], [1.0, 1.0], [1.0, -INF], "transaction 7: size"),
+    "bool id": ([0, True], [1.0, 1.0], [1.0, 1.0], "got True"),
+    "fractional id": ([0, 1.5], [1.0, 1.0], [1.0, 1.0], "got 1.5"),
+    "negative id": ([0, -1], [1.0, 1.0], [1.0, 1.0], "got -1"),
+    "duplicate id": ([3, 3], [1.0, 2.0], [1.0, 1.0], "duplicate transaction id 3"),
+}
+
+ENTRY_POINTS = {
+    "load_mempool": lambda ids, prices, sizes: load_mempool(json.dumps({"transactions": [
+        {"id": i, "gas_price": v, "size": s} for i, v, s in zip(ids, prices, sizes)
+    ]})),
+    "from_arrays": Mempool.from_arrays,
+    "Mempool": lambda ids, prices, sizes: Mempool(
+        [Transaction(i, v, s) for i, v, s in zip(ids, prices, sizes)]
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("case", BAD_TABLES)
+def test_every_entry_point_applies_the_same_rules(entry, case):
+    ids, prices, sizes, pattern = BAD_TABLES[case]
+    with pytest.raises(ValidationError, match=pattern):
+        ENTRY_POINTS[entry](ids, prices, sizes)
+
+
+def test_load_builds_no_transaction_objects(tmp_path, golden_mempool):
+    path = tmp_path / "m.json"
+    path.write_text(dump_mempool(golden_mempool))
+    mp = load_mempool_file(path)
+    assert "transactions" not in vars(mp)  # the lazy property has not run
+    assert mp[1] == Transaction(2, float(np.e), 1.0)
+    assert list(mp) == list(golden_mempool)
+
+
+def test_positions_maps_ids_to_input_order():
+    mp = Mempool.from_arrays([40, 10, 30], [1.0, 2.0, 3.0])
+    assert mp.positions([30, 40, 30]).tolist() == [2, 0, 2]
+    assert mp.index_of(10) == 1
+    with pytest.raises(ValidationError, match="unknown transaction id 20"):
+        mp.positions([10, 20])
+    with pytest.raises(ValidationError, match="unknown"):
+        Mempool.from_arrays([], []).positions([0])
+
+
+@pytest.mark.parametrize("k, lam", [(INF, 1.0), (1.0, NAN), (NAN, 1.0), (1.0, INF)])
+def test_game_params_must_be_finite(k, lam):
+    with pytest.raises(ValidationError):
+        GameParams(k=k, lam=lam)
+
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**63 - 1), _positive, _positive),
+                unique_by=lambda row: row[0], max_size=20))
+def test_dump_load_round_trip(rows):
+    mp = Mempool.from_arrays([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
+    assert load_mempool(dump_mempool(mp)) == mp

@@ -179,8 +179,7 @@ class TestRejectionSampler:
         hits = np.zeros(m)
         for _ in range(n):
             block, _ = rejection_sample_block(mp, profile, k, rng)
-            for t in block.txids:
-                hits[mp.index_of(t)] += 1
+            hits[mp.positions(block.txids)] += 1  # a block holds each id at most once
         emp = hits / n
         se = np.sqrt(np.maximum(oracle * (1 - oracle), 1e-12) / n)
         assert np.all(np.abs(emp - oracle) <= 3 * se + 1e-9)

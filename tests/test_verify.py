@@ -57,6 +57,19 @@ class TestExpectedUtility:
         with pytest.raises(ValidationError):
             expected_utility(profile, profile, other, golden_params)
 
+    @pytest.mark.parametrize("own", [{2, 99}, {2: 1.0, 99: 0.5}], ids=["id-set", "mapping"])
+    def test_unknown_id_rejected(self, golden_mempool, golden_params, own):
+        profile = solve_equilibrium(golden_mempool, golden_params)
+        with pytest.raises(ValidationError, match="unknown transaction id 99"):
+            expected_utility(own, profile, golden_mempool, golden_params)
+
+    def test_mapping_leaves_absent_ids_at_zero(self, golden_mempool, golden_params):
+        profile = solve_equilibrium(golden_mempool, golden_params)
+        as_map = expected_utility({5: 1.0, 2: 1.0}, profile, golden_mempool, golden_params)
+        as_set = expected_utility({2, 5}, profile, golden_mempool, golden_params)
+        assert as_map.value == as_set.value
+        assert as_map.per_tx == as_set.per_tx and as_map.per_tx[7] == 0.0
+
     @pytest.mark.parametrize("seed", range(5))
     def test_linearity_in_own_marginals(self, seed):
         rng = np.random.default_rng(600 + seed)

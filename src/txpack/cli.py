@@ -9,8 +9,10 @@ output. Exit codes: 0 success, 1 validation error, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import operator
 import os
 import sys
 
@@ -22,28 +24,94 @@ from .fees import base_fee
 from .mempool import GameParams, Mempool, load_mempool_file
 from .simulate import run_experiment
 from .strategy import rejection_sample_block, sample_block
-from .verify import brute_force_check, verify_equilibrium
+from .verify import brute_force_check, brute_force_feasible, verify_equilibrium
 
 
-def _dumps12(obj, indent=0) -> str:
-    """JSON with floats rendered at 12 significant digits."""
-    pad = "  " * indent
+def _scalar(v) -> str:
+    """One JSON scalar; floats at 12 significant digits, NaN and +-inf as null."""
+    if isinstance(v, bool) or v is None:
+        return json.dumps(v)
+    if isinstance(v, float):
+        return format(v, ".12g") if math.isfinite(v) else "null"
+    return json.dumps(v)
+
+
+def _column(values: list):
+    """(format field, arguments) rendering a list of scalars, or None if any is a container."""
+    types = set(map(type, values))
+    if any(issubclass(t, (dict, list, tuple)) for t in types):
+        return None
+    if types == {int}:
+        return "{}", values
+    if all(issubclass(t, float) for t in types) and all(map(math.isfinite, values)):
+        return "{:.12g}", values
+    return "{}", list(map(_scalar, values))
+
+
+def _row_template(items: list, pad: str):
+    """One format template per element and its argument columns, or None.
+
+    Applies to a list of scalars, and to a list of dicts that share one key
+    order and hold only scalars; anything else goes through the general walk.
+    """
+    first = items[0]
+    if not isinstance(first, dict):
+        col = _column(items)
+        return None if col is None else (pad + col[0], [col[1]])
+    keys = tuple(first)
+    if not keys or set(map(type, keys)) != {str} or set(map(type, items)) != {dict}:
+        return None  # a non-str key may equal another key with a different str()
+    if not all(map(keys.__eq__, map(tuple, items))):
+        return None
+    fields, columns = [], []
+    for key in keys:
+        col = _column(list(map(operator.itemgetter(key), items)))
+        if col is None:
+            return None
+        name = json.dumps(str(key)).replace("{", "{{").replace("}", "}}")
+        fields.append(f"{pad}  {name}: {col[0]}")
+        columns.append(col[1])
+    return pad + "{{\n" + ",\n".join(fields) + "\n" + pad + "}}", columns
+
+
+def _write(obj, out: list, pad: str):
+    """Append the tokens of obj to out; pad is the indent of the line obj starts on."""
+    inner = pad + "  "
     if isinstance(obj, dict):
-        items = [
-            f'{pad}  {json.dumps(str(k))}: {_dumps12(v, indent + 1).lstrip()}'
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        items = [f"{pad}  {_dumps12(v, indent + 1).lstrip()}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
-    if isinstance(obj, bool) or obj is None:
-        return pad + json.dumps(obj)
-    if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            return pad + json.dumps(None)
-        return pad + format(obj, ".12g")
-    return pad + json.dumps(obj)
+        out.append("{\n")
+        sep = inner
+        for k, v in obj.items():
+            out.append(f"{sep}{json.dumps(str(k))}: ")
+            _write(v, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        out.append("[\n")
+        table = _row_template(obj, inner)
+        if table is None:
+            sep = inner
+            for v in obj:
+                out.append(sep)
+                _write(v, out, inner)
+                sep = ",\n" + inner
+        else:
+            template, columns = table
+            out.append(template.format(*(c[0] for c in columns)))
+            rest = (itertools.islice(c, 1, None) for c in columns)
+            out.extend(map((",\n" + template).format, *rest))
+        out.append("\n" + pad + "]")
+    else:
+        out.append(_scalar(obj))
+
+
+def _dumps12(obj) -> str:
+    """JSON indented by two spaces, with floats rendered at 12 significant digits."""
+    out: list = []
+    _write(obj, out, "")
+    return "".join(out)
 
 
 def _emit(doc, out_path):
@@ -121,8 +189,7 @@ def cmd_verify(args):
     else:
         profile = solve_equilibrium(mempool, params, mode=args.mode)
     doc = verify_equilibrium(profile, mempool, params, tol=args.tol).to_json_dict()
-    k = int(params.k)
-    if len(mempool) <= 20 and math.comb(len(mempool), min(k, len(mempool))) <= 1_000_000:
+    if brute_force_feasible(len(mempool), int(params.k)):
         doc["brute_force"] = brute_force_check(mempool, params, profile).to_json_dict()
     _emit(doc, args.out)  # a failing verdict is still a successful run: exit 0
 

@@ -51,7 +51,7 @@ class MarginalProfile:
     def to_json_dict(self) -> dict:
         return {
             "marginals": [
-                {"id": int(i), "p": float(v)} for i, v in zip(self.ids, self.values)
+                {"id": i, "p": v} for i, v in zip(self.ids.tolist(), self.values.tolist())
             ],
             "xhat": float(self.xhat),
             "w": float(self.w),
@@ -148,7 +148,7 @@ def clamp_marginals(
     )
     profile = MarginalProfile(mempool.ids, values, float(xhat), float(np.exp(log_w)))
     used = float(values @ mempool.sizes)
-    if abs(used - params.k) > BUDGET_RTOL * max(1.0, params.k):
+    if not abs(used - params.k) <= BUDGET_RTOL * max(1.0, params.k):  # NaN fails too
         raise InvariantViolation(
             f"clamped marginals use capacity {used!r}, expected {params.k!r}"
         )

@@ -19,6 +19,7 @@ from .errors import RejectionBudgetExceeded, ValidationError
 from .mempool import Mempool
 
 _SUM_TOL = 1e-9
+_CHUNK_BYTES = 1 << 23  # uniforms drawn per rejection chunk; bounds its memory at large m
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,9 @@ def rejection_sample_block(
     The profile should target a reduced capacity k' <= k (sum of s*p = k').
     Draws each transaction independently with its marginal probability and
     accepts once the drawn capacity lands in [lower, k]; the default lower
-    bound is max(0, 2k' - k). Returns (block, attempts).
+    bound is max(0, 2k' - k). Returns (block, attempts). Attempts are drawn
+    ``chunk`` at a time, fewer when the mempool is large, so the uniforms
+    held at once stay within ``_CHUNK_BYTES``.
     """
     p = np.asarray(profile.values, dtype=np.float64)
     sizes = mempool.sizes
@@ -169,16 +172,19 @@ def rejection_sample_block(
     if lower is None:
         lower = max(0.0, 2.0 * kprime - k)
     eps = 1e-12 * max(1.0, k)
+    # Rows are filled in stream order and each total is summed within its own
+    # row, so the chunk height changes neither the accepted draw nor its bits.
+    rows = min(chunk, max(1, _CHUNK_BYTES // (8 * max(1, len(p)))))
     attempts = 0
     while attempts < max_attempts:
-        n = min(chunk, max_attempts - attempts)
+        n = min(rows, max_attempts - attempts)
         draws = rng.random((n, len(p))) < p
-        totals = draws @ sizes
+        totals = np.where(draws, sizes, 0.0).sum(axis=1)
         ok = np.nonzero((totals >= lower - eps) & (totals <= k + eps))[0]
         if ok.size:
             i = int(ok[0])
             chosen = np.nonzero(draws[i])[0]
-            txids = frozenset(int(mempool.ids[j]) for j in chosen)
+            txids = frozenset(mempool.ids[chosen].tolist())
             return Block(txids, float(totals[i]), miner_tag), attempts + i + 1
         attempts += n
     raise RejectionBudgetExceeded(max_attempts, 1.0 / (max_attempts + 1))

@@ -1,10 +1,11 @@
 """Expected utility, best responses, and Nash-equilibrium verification.
 
 A miner facing symmetric opponents with marginals q earns, conditional on
-mining a block, sum over tx of p_own(tx) * v(tx) * exp(-lambda * q(tx)):
+mining a block, sum over tx of p_own(tx) * v(tx) * s(tx) * exp(-lambda * q(tx)):
 the exponential factor is the probability that none of a Poisson(lambda)
 number of competing blocks contains tx. Utility is linear in the miner's
-own marginals, so pure k-subsets span all deviations.
+own marginals, so the best response is a fractional knapsack over discounted
+prices, and with unit sizes and integer k a pure k-subset.
 """
 
 from __future__ import annotations
@@ -78,21 +79,30 @@ def expected_utility(own, others: MarginalProfile, mempool: Mempool, params: Gam
     p_own = _own_vector(own, mempool)
     if np.any(p_own < 0) or np.any(p_own > 1 + 1e-12):
         raise ValidationError("own marginals must lie in [0, 1]")
-    contributions = p_own * discounted_prices(others, mempool, params)
+    contributions = p_own * mempool.sizes * discounted_prices(others, mempool, params)
     return UtilityReport(float(np.sum(contributions)), mempool.ids, contributions)
 
 
 def best_response(others: MarginalProfile, mempool: Mempool, params: GameParams):
-    """Top-k pure strategy against opponents' marginals; ties by input order.
+    """Fractional knapsack against opponents' marginals; ties by input order.
 
-    Returns (tuple of txids in input order, UtilityReport).
+    Fills capacity k in order of discounted price, whole transactions first and
+    a fraction of the first one that no longer fits. With unit sizes and
+    integer k this is the top-k pure strategy. Returns (tuple of the txids
+    with positive weight, in input order; UtilityReport).
     """
-    k = params.require_integer_k()
     vt = discounted_prices(others, mempool, params)
-    chosen = np.sort(np.argsort(-vt, kind="stable")[:k])  # stable keeps input order on ties
-    contributions = np.zeros(len(mempool))
-    contributions[chosen] = vt[chosen]
-    txids = tuple(mempool.ids[chosen].tolist())
+    sizes = mempool.sizes
+    order = np.argsort(-vt, kind="stable")  # stable keeps input order on ties
+    filled = np.cumsum(sizes[order])
+    n_whole = int(np.searchsorted(filled, params.k, side="right"))
+    p_own = np.zeros(len(mempool))
+    p_own[order[:n_whole]] = 1.0
+    if n_whole < len(mempool):
+        room = params.k - (filled[n_whole - 1] if n_whole else 0.0)
+        p_own[order[n_whole]] = min(1.0, room / sizes[order[n_whole]])
+    contributions = p_own * sizes * vt
+    txids = tuple(mempool.ids[p_own > 0.0].tolist())
     return txids, UtilityReport(float(np.sum(contributions)), mempool.ids, contributions)
 
 
@@ -142,19 +152,23 @@ def verify_equilibrium(
     return EquilibriumVerdict(passes, float(w), float(worst), witness)
 
 
+def brute_force_feasible(m: int, k: int) -> bool:
+    """Whether brute_force_check enumerates an m-transaction, capacity-k instance."""
+    return m <= 20 and math.comb(m, min(k, m)) <= 1_000_000
+
+
 def brute_force_check(
     mempool: Mempool, params: GameParams, profile: MarginalProfile, tol: float = 1e-8
 ) -> EquilibriumVerdict:
     """Enumerate every pure k-subset deviation against the profile.
 
     Utility is linear in own marginals, so no mixed deviation can beat the
-    best pure one. Limited to small instances by design.
+    best pure one. Limited to small instances (``brute_force_feasible``) by design.
     """
     k = params.require_integer_k()
     m = len(mempool)
-    n_subsets = math.comb(m, min(k, m))
-    if m > 20 or n_subsets > 1_000_000:
-        raise ValidationError(f"instance too large for enumeration (m={m}, C(m,k)={n_subsets})")
+    if not brute_force_feasible(m, k):
+        raise ValidationError(f"instance too large for enumeration (m={m}, k={k})")
     vt = discounted_prices(profile, mempool, params)
     sym = expected_utility(profile, profile, mempool, params).value
 

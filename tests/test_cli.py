@@ -1,9 +1,14 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from txpack.cli import main
+from txpack import Mempool, dump_mempool
+from txpack.cli import _dumps12, main
 
 
 def run_cli(capsys, *argv):
@@ -286,3 +291,131 @@ def test_profile_must_match_mempool(capsys, tmp_path, golden_mempool_file, ids):
     assert rc == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_nan_budget_exits_3(capsys, tmp_path):
+    # lambda = 5e-324 overflows the raw marginals to +-inf, so the clamped
+    # capacity is NaN; the budget invariant must still see the violation.
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps({"transactions": [
+        {"id": i, "gas_price": float(i)} for i in range(1, 5)
+    ]}))
+    with np.errstate(all="ignore"):
+        rc, out, err = run_cli(
+            capsys, "equilibrium", "--mempool", str(path), "--k", "2", "--lambda", "5e-324"
+        )
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("invariant violation:") and "nan" in err
+
+
+def _reference_dumps12(obj, indent=0) -> str:
+    """The recursive writer the flat one replaced, kept as the byte-level reference."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        items = [
+            f'{pad}  {json.dumps(str(k))}: {_reference_dumps12(v, indent + 1).lstrip()}'
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        items = [f"{pad}  {_reference_dumps12(v, indent + 1).lstrip()}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
+    if isinstance(obj, bool) or obj is None:
+        return pad + json.dumps(obj)
+    if isinstance(obj, float):
+        if math.isnan(obj) or math.isinf(obj):
+            return pad + json.dumps(None)
+        return pad + format(obj, ".12g")
+    return pad + json.dumps(obj)
+
+
+class _Float(float):
+    pass
+
+
+WRITER_CASES = {
+    "empty-dict": ({}, "{\n\n}"),
+    "empty-list": ([], "[]"),
+    "empty-nested": ({"a": {}, "b": [], "c": [{}]}, '{\n  "a": {\n\n  },\n  "b": [],\n  "c": [\n    {\n\n    }\n  ]\n}'),
+    "nested-lists": ([[1, [2.5]], []], "[\n  [\n    1,\n    [\n      2.5\n    ]\n  ],\n  []\n]"),
+    "rows": ([{"id": 1, "p": 0.1}, {"id": 2, "p": 1.0}],
+             '[\n  {\n    "id": 1,\n    "p": 0.1\n  },\n  {\n    "id": 2,\n    "p": 1\n  }\n]'),
+    "mixed-key-rows": ([{"a": 1, "b": 2}, {"b": 2, "a": 1}, {"a": 1}],
+                       '[\n  {\n    "a": 1,\n    "b": 2\n  },\n  {\n    "b": 2,\n    "a": 1\n  },\n'
+                       '  {\n    "a": 1\n  }\n]'),
+    "non-finite": ([float("nan"), float("inf"), -float("inf"), {"p": float("nan")}],
+                   '[\n  null,\n  null,\n  null,\n  {\n    "p": null\n  }\n]'),
+    "bool-none": ({"t": True, "f": False, "n": None, "rows": [True, None, 0]},
+                  '{\n  "t": true,\n  "f": false,\n  "n": null,\n  "rows": [\n    true,\n    null,\n    0\n  ]\n}'),
+    "equal-keys": ([{1: 0}, {True: 0}, {1.0: 0}],
+                   '[\n  {\n    "1": 0\n  },\n  {\n    "True": 0\n  },\n  {\n    "1.0": 0\n  }\n]'),
+    "int-keys": ({1: "x", 2.5: [1.25e-7], "{k}": 1e300}, '{\n  "1": "x",\n  "2.5": [\n    1.25e-07\n  ],\n  "{k}": 1e+300\n}'),
+    "float-subclass": ([_Float(1 / 3), np.float64(2 / 3)], "[\n  0.333333333333,\n  0.666666666667\n]"),
+}
+
+
+@pytest.mark.parametrize("case", WRITER_CASES)
+def test_writer_edge_case_bytes(case):
+    doc, expected = WRITER_CASES[case]
+    assert _dumps12(doc) == expected
+    assert _reference_dumps12(doc) == expected
+
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.floats().map(_Float), st.floats().map(np.float64),
+)
+_keys = st.one_of(st.text(max_size=3), st.integers(-3, 3), st.sampled_from(["{", "}", "{0}"]))
+_docs = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(_keys, inner, max_size=4),
+        st.lists(st.fixed_dictionaries({"id": _scalars, "{p}": _scalars}), max_size=4),
+        st.lists(st.fixed_dictionaries({"id": _scalars, "p": inner}), max_size=3),
+        st.lists(st.dictionaries(st.sampled_from([0, 1, True, 1.0, "1"]), _scalars, max_size=2), max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_docs)
+def test_writer_matches_reference(doc):
+    assert _dumps12(doc) == _reference_dumps12(doc)
+
+
+def _seeded_mempool_file(tmp_path, kind):
+    rng = np.random.default_rng(20_000)
+    m = 20_000
+    ids = rng.permutation(m)
+    prices = np.exp(rng.uniform(-3.0, 3.0, m))
+    sizes = np.ones(m) if kind == "unit" else rng.uniform(0.2, 4.0, m)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(dump_mempool(Mempool.from_arrays(ids, prices, sizes)))
+    return path
+
+
+# SHA-256 of stdout on seeded 2e4-transaction mempools, taken with the
+# recursive writer and the full-height rejection chunks, which these must match.
+GOLDEN_STDOUT_SHA256 = {
+    ("unit", "equilibrium", "--k", "2000"):
+        "67eb74db63092e5cbc10ffd06f1e26d2affcc3fd3f3187326c1a926604f74999",
+    ("sized", "equilibrium", "--k", "4000", "--mode", "variable"):
+        "a2a0582ad401b47d5ed0c408122e441747626adb2b5a3cef0a91df6c6035c5a1",
+    ("unit", "sample", "--k", "2000", "--mode", "variable", "--seed", "3"):
+        "be55c666ef1231bd1e75623aacfe5d94cf89d91359d399fae2be65de0918f3ea",
+    ("sized", "sample", "--k", "4000", "--mode", "variable", "--seed", "3"):
+        "9ed793663f8b6e1888c518a21687f74748b9a5e71c9ca462a53bc10320f52047",
+}
+
+
+@pytest.mark.parametrize("argv", GOLDEN_STDOUT_SHA256, ids=" ".join)
+def test_large_stdout_sha256(capsys, tmp_path, argv):
+    kind, cmd, *rest = argv
+    path = _seeded_mempool_file(tmp_path, kind)
+    rc, out, _ = run_cli(capsys, cmd, "--mempool", str(path), "--lambda", "1", *rest)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from txpack import (
     sample_block,
     solve_equilibrium,
 )
+from txpack import strategy
 from txpack.equilibrium import MarginalProfile
 from txpack.strategy import SegmentSampler
 
@@ -191,3 +194,32 @@ class TestRejectionSampler:
         with pytest.raises(RejectionBudgetExceeded):
             rejection_sample_block(mp, profile, 2.0, np.random.default_rng(0),
                                    lower=0.0, max_attempts=50)
+
+    def test_chunk_height_keeps_the_draw(self, monkeypatch):
+        # A window only a few percent of draws hit, so acceptance spans many chunks.
+        rng = np.random.default_rng(44)
+        m = 300
+        mp = Mempool.from_arrays(np.arange(m), np.exp(rng.uniform(-3, 3, m)), rng.uniform(0.2, 4.0, m))
+        k = 0.2 * mp.total_size
+        profile = solve_equilibrium(mp, GameParams(k=0.999 * k, lam=1.0), mode="variable")
+        full = rejection_sample_block(mp, profile, k, np.random.default_rng(2))
+        monkeypatch.setattr(strategy, "_CHUNK_BYTES", 3 * 8 * m)  # three rows per chunk
+        capped = rejection_sample_block(mp, profile, k, np.random.default_rng(2))
+        assert full[1] > 3
+        assert capped == full
+
+    def test_memory_bounded_at_large_m(self):
+        rng = np.random.default_rng(8)
+        m = 200_000
+        mp = Mempool.from_arrays(np.arange(m), np.exp(rng.uniform(-3, 3, m)))
+        k = 0.1 * m
+        profile = solve_equilibrium(mp, GameParams(k=0.95 * k, lam=1.0), mode="variable")
+        tracemalloc.start()
+        try:
+            block, attempts = rejection_sample_block(mp, profile, k, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert attempts >= 1 and block.used_capacity <= k
+        # 256 rows of m float64 uniforms alone would be 410 MB.
+        assert peak < 64 * 2**20

@@ -16,7 +16,7 @@ from txpack import (
 )
 from txpack.equilibrium import MarginalProfile
 
-from conftest import random_unit_mempool
+from conftest import random_sized_mempool, random_unit_mempool
 
 EQ_UTILITY = 2 * np.exp(-1 / 3) + 1  # two units of interior mass at w, plus tx2
 GREEDY_UTILITY = (np.e + np.exp(5 / 12) + 1) * np.exp(-1)
@@ -99,6 +99,15 @@ class TestBestResponse:
         # top-3 by raw price; tx1 beats tx5/tx6 on input-order tie-break
         assert set(txids) == {1, 2, 4}
 
+    def test_sized_fills_capacity_with_a_fraction(self):
+        # k = 4 takes tx0 (size 2) and tx1 (size 1) whole and a third of tx2 (size 3)
+        mp = Mempool.from_arrays([0, 1, 2, 3], [5.0, 4.0, 3.0, 1.0], [2.0, 1.0, 3.0, 1.0])
+        params = GameParams(k=4.0, lam=1.0)
+        zeros = MarginalProfile(mp.ids, np.zeros(4), 0.0, 0.0)
+        txids, report = best_response(zeros, mp, params)
+        assert txids == (0, 1, 2)
+        assert report.value == pytest.approx(5.0 * 2 + 4.0 * 1 + 3.0 * 3 / 3, rel=1e-12)
+
     def test_k_covers_mempool(self, golden_mempool):
         params = GameParams(k=9, lam=1.0)
         zeros = MarginalProfile(golden_mempool.ids, np.zeros(7), 0.0, 0.0)
@@ -121,6 +130,15 @@ class TestVerifyEquilibrium:
         assert verdict.witness is not None
         assert 5 in verdict.witness["txids"]
         assert verdict.witness["utility_gain"] > 1.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_variable_solver_profile_passes_on_sized_mempool(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        mp = random_sized_mempool(rng, 200)
+        params = GameParams(k=float(rng.uniform(0.05, 0.5)) * mp.total_size, lam=float(rng.uniform(0.5, 4)))
+        profile = solve_equilibrium(mp, params, mode="variable")
+        verdict = verify_equilibrium(profile, mp, params)
+        assert verdict.passes, verdict
 
     def test_all_ones_passes_vacuously(self):
         mp = Mempool([Transaction(i, float(i + 1)) for i in range(3)])

@@ -189,12 +189,15 @@ def cmd_verify(args):
     else:
         profile = solve_equilibrium(mempool, params, mode=args.mode)
     doc = verify_equilibrium(profile, mempool, params, tol=args.tol).to_json_dict()
-    if brute_force_feasible(len(mempool), int(params.k)):
+    # The enumeration checks unit-size k-subsets, which is fixed mode's game only.
+    if args.mode == "fixed" and brute_force_feasible(len(mempool), int(params.k)):
         doc["brute_force"] = brute_force_check(mempool, params, profile).to_json_dict()
     _emit(doc, args.out)  # a failing verdict is still a successful run: exit 0
 
 
 def cmd_simulate(args):
+    if args.mode != "fixed":
+        raise ValidationError("simulate supports only --mode fixed")
     mempool, params = _load(args)
     config = {
         "mempool": mempool,

@@ -8,12 +8,16 @@ included transaction once regardless of duplication.
 
 All randomness flows through per-trial substreams derived from the master
 seed via numpy's SeedSequence spawn keys, so reports are reproducible and
-earlier trials are unaffected by the trial count.
+earlier trials are unaffected by the trial count. ``run_experiment`` makes
+each trial's draws from its own substream, one trial after another, then
+selects and accounts for a whole chunk of trials with a few array
+operations; a chunk holds about ``_CHUNK_BYTES``, and its height changes
+no trial's outcome.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +28,7 @@ from .strategy import Block, MixedStrategy, SegmentSampler
 from .verify import greedy_profile
 
 STRATEGY_NAMES = ("equilibrium", "greedy", "uniform-random-k")
+_CHUNK_BYTES = 1 << 18  # block positions and per-position flags held per chunk of trials
 
 
 @dataclass(frozen=True)
@@ -61,59 +66,76 @@ class ExperimentReport:
         }
 
 
-class _ProfileSource:
-    """Draws blocks from the segment sampler of a marginal profile."""
+class _BlockSource:
+    """Draws blocks in two steps: per-block tokens from a generator, then positions.
 
-    def __init__(self, profile: MarginalProfile, k: int):
-        self.sampler = SegmentSampler(profile, k)
-        self.k = k
+    ``tokens(rng, n)`` draws n blocks and keeps the least each one needs:
+    one uniform probe, or the k positions of a uniform subset.
+    ``positions(tokens)`` turns any number of tokens, from one round or from
+    a chunk of trials, into an (n, k) mempool-position matrix. Subclasses set
+    ``ids`` (the mempool's) and ``k``.
+    """
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if n == 0:
-            return np.empty((0, self.k), dtype=np.int64)
-        return self.sampler.select_many(rng.random(n))
+        """(n, k) id matrix of n i.i.d. blocks."""
+        return self.ids[self.positions(self.tokens(rng, n))]
+
+    def tokens(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.random(n)  # one probe per block
 
 
-class _UniformSource:
+class _ProfileSource(_BlockSource):
+    """Blocks from the segment sampler of a marginal profile."""
+
+    def __init__(self, profile: MarginalProfile, k: int, mempool: Mempool):
+        # Segments labelled by mempool position, so selection needs no id lookup.
+        self.sampler = SegmentSampler(replace(profile, ids=mempool.positions(profile.ids)), k)
+        self.ids = mempool.ids
+        self.k = k
+
+    def positions(self, rs: np.ndarray) -> np.ndarray:
+        return self.sampler.select_many(rs)
+
+
+class _UniformSource(_BlockSource):
     """Each block is an independent uniform k-subset of the mempool."""
 
     def __init__(self, mempool: Mempool, k: int):
         self.ids = mempool.ids
         self.k = min(k, len(mempool))
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if n == 0:
-            return np.empty((0, self.k), dtype=np.int64)
+    def tokens(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        # Selecting at once keeps k positions, not m keys, per block.
         keys = rng.random((n, len(self.ids)))
-        idx = np.argpartition(keys, self.k - 1, axis=1)[:, : self.k]
-        return self.ids[idx]
+        return np.argpartition(keys, self.k - 1, axis=1)[:, : self.k]
+
+    def positions(self, chosen: np.ndarray) -> np.ndarray:
+        return chosen
+
+
+class _MixedSource(_BlockSource):
+    """Blocks from the atoms of an explicit mixed strategy."""
+
+    def __init__(self, strategy: MixedStrategy, mempool: Mempool):
+        self.cum = np.cumsum(strategy.atom_probs)
+        self.atoms = np.stack([mempool.positions(sorted(s)) for s in strategy.atom_txids])
+        self.ids = mempool.ids
+        self.k = strategy.k
+
+    def positions(self, rs: np.ndarray) -> np.ndarray:
+        idx = np.minimum(np.searchsorted(self.cum, rs, side="right"), len(self.atoms) - 1)
+        return self.atoms[idx]
 
 
 def _block_source(name: str, mempool: Mempool, params: GameParams):
     k = params.require_integer_k()
     if name == "equilibrium":
-        return _ProfileSource(solve_equilibrium(mempool, params), k)
+        return _ProfileSource(solve_equilibrium(mempool, params), k, mempool)
     if name == "greedy":
-        return _ProfileSource(greedy_profile(mempool, params), k)
+        return _ProfileSource(greedy_profile(mempool, params), k, mempool)
     if name == "uniform-random-k":
         return _UniformSource(mempool, k)
     raise ValidationError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
-
-
-def _round_metrics(mempool: Mempool, block_ids: np.ndarray):
-    """Duplication, throughput, and both revenue accountings for one round."""
-    fee_of = dict(zip(mempool.ids.tolist(), (mempool.prices * mempool.sizes).tolist()))
-    size_of = dict(zip(mempool.ids.tolist(), mempool.sizes.tolist()))
-    flat = block_ids.ravel()
-    uniq, counts = np.unique(flat, return_counts=True)
-    count_of = dict(zip(uniq.tolist(), counts.tolist()))
-    per_block = [
-        sum(fee_of[t] for t in row.tolist() if count_of[t] == 1) for row in block_ids
-    ]
-    duplicated = int(np.sum(counts >= 2))
-    wasted = float(sum(size_of[t] * (c - 1) for t, c in count_of.items() if c > 1))
-    chain = float(sum(fee_of[t] for t in uniq.tolist()))
-    return per_block, duplicated, int(len(uniq)), wasted, chain
 
 
 def simulate_round(
@@ -127,44 +149,92 @@ def simulate_round(
 
     ``strategy`` may be a MarginalProfile, a MixedStrategy, or a block
     source with a ``draw(rng, n)`` method. Pass ``gamma`` to force the
-    block count instead of sampling it.
+    block count instead of sampling it. Duplication, throughput and both
+    revenue accountings count all of the round's blocks.
     """
     k = params.require_integer_k()
     if isinstance(strategy, MarginalProfile):
-        source = _ProfileSource(strategy, k)
+        source = _ProfileSource(strategy, k, mempool)
     elif isinstance(strategy, MixedStrategy):
-        source = _MixedSource(strategy)
+        source = _MixedSource(strategy, mempool)
     else:
         source = strategy
     if gamma is None:
         gamma = int(rng.poisson(params.lam))
     block_ids = source.draw(rng, gamma)
-    per_block, duplicated, uniq, wasted, chain = _round_metrics(mempool, block_ids)
-    size_of = dict(zip(mempool.ids.tolist(), mempool.sizes.tolist()))
+    pos = mempool.positions(block_ids.ravel()).reshape(block_ids.shape)
+    fees = mempool.prices * mempool.sizes
+    count = np.bincount(pos.ravel(), minlength=len(mempool))
+    exclusive = np.where(count[pos] == 1, fees[pos], 0.0).sum(axis=1)
+    used = mempool.sizes[pos].sum(axis=1)
     blocks = [
-        Block(frozenset(int(t) for t in row), float(sum(size_of[int(t)] for t in row)), f"miner-{j}")
-        for j, row in enumerate(block_ids)
+        Block(frozenset(row), u, f"miner-{j}")
+        for j, (row, u) in enumerate(zip(block_ids.tolist(), used.tolist()))
     ]
-    return RoundOutcome(gamma, blocks, per_block, duplicated, uniq, wasted, chain)
-
-
-class _MixedSource:
-    def __init__(self, strategy: MixedStrategy):
-        self.cum = np.cumsum(strategy.atom_probs)
-        self.txsets = [np.array(sorted(s), dtype=np.int64) for s in strategy.atom_txids]
-        self.k = strategy.k
-
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if n == 0:
-            return np.empty((0, self.k), dtype=np.int64)
-        idx = np.minimum(
-            np.searchsorted(self.cum, rng.random(n), side="right"), len(self.txsets) - 1
-        )
-        return np.stack([self.txsets[i] for i in idx])
+    return RoundOutcome(
+        gamma,
+        blocks,
+        exclusive.tolist(),
+        int(np.count_nonzero(count >= 2)),
+        int(np.count_nonzero(count)),
+        float((np.maximum(count - 1, 0) * mempool.sizes).sum()),
+        float(fees[count > 0].sum()),
+    )
 
 
 def _trial_rng(seed: int, strategy_index: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(strategy_index, trial)))
+
+
+def _chunk_outcomes(pos: np.ndarray, gammas: np.ndarray, fees: np.ndarray) -> np.ndarray:
+    """(4, n) exclusive revenue, duplication rate, unique count, chain revenue of n trials.
+
+    ``pos`` holds each trial's gamma + 1 blocks as mempool positions, its
+    focal block first; the last three figures count the competitors only.
+    Every figure is reduced within its own trial's row, so it does not
+    depend on the other trials in the chunk.
+    """
+    n, m, k = len(gammas), len(fees), pos.shape[1]
+    focal_row = np.cumsum(gammas + 1) - (gammas + 1)
+    competitor = np.ones(len(pos), dtype=bool)
+    competitor[focal_row] = False
+    base = np.arange(n) * m
+    seen = np.zeros(n * m, dtype=bool)
+    seen[(np.repeat(base, gammas)[:, None] + pos[competitor]).ravel()] = True
+    focal = pos[focal_row]
+    taken = seen[base[:, None] + focal]
+    seen = seen.reshape(n, m)
+    unique = np.count_nonzero(seen, axis=1)
+    appearances = gammas * k
+    return np.stack([
+        np.where(taken, 0.0, fees[focal]).sum(axis=1),
+        (appearances - unique) / np.maximum(appearances, 1),
+        unique,
+        (seen * fees).sum(axis=1),
+    ])
+
+
+def _trial_outcomes(source, fees: np.ndarray, lam: float, seed: int, s_idx: int,
+                    trials: int) -> np.ndarray:
+    """(4, trials) per-trial outcomes (see ``_chunk_outcomes``) of one strategy.
+
+    Trial t draws gamma ~ Poisson(lam), then the tokens of gamma + 1 blocks,
+    from its own substream; a chunk of trials, sized to about
+    ``_CHUNK_BYTES`` of flags and positions, is then selected and accounted
+    for together.
+    """
+    height = max(1, int(_CHUNK_BYTES // (8 * (len(fees) + (lam + 1) * source.k))))
+    out = np.empty((4, trials))
+    for start in range(0, trials, height):
+        stop = min(start + height, trials)
+        gammas = np.empty(stop - start, dtype=np.int64)
+        tokens = []
+        for i, t in enumerate(range(start, stop)):
+            rng = _trial_rng(seed, s_idx, t)
+            gammas[i] = rng.poisson(lam)
+            tokens.append(source.tokens(rng, int(gammas[i]) + 1))
+        out[:, start:stop] = _chunk_outcomes(source.positions(np.concatenate(tokens)), gammas, fees)
+    return out
 
 
 def run_experiment(config: dict) -> list:
@@ -185,36 +255,12 @@ def run_experiment(config: dict) -> list:
     names = list(config.get("strategies", ["equilibrium"]))
 
     fees = mempool.prices * mempool.sizes
-    id_order = np.argsort(mempool.ids)
-    sorted_ids = mempool.ids[id_order]
-
     reports = []
     for s_idx, name in enumerate(names):
         source = _block_source(name, mempool, params)
-        revenue = np.empty(trials)
-        dup_rate = np.empty(trials)
-        unique_cnt = np.empty(trials)
-        chain_rev = np.empty(trials)
-        for t in range(trials):
-            rng = _trial_rng(seed, s_idx, t)
-            gamma = int(rng.poisson(params.lam))
-            draws = source.draw(rng, gamma + 1)
-            focal, competitors = draws[0], draws[1:]
-            if gamma:
-                taken = np.isin(focal, competitors.ravel())
-                pos = id_order[np.searchsorted(sorted_ids, focal[~taken])]
-                revenue[t] = fees[pos].sum()
-                flat = competitors.ravel()
-                uniq, counts = np.unique(flat, return_counts=True)
-                dup_rate[t] = (counts - 1).sum() / flat.size
-                unique_cnt[t] = len(uniq)
-                chain_rev[t] = fees[id_order[np.searchsorted(sorted_ids, uniq)]].sum()
-            else:
-                pos = id_order[np.searchsorted(sorted_ids, focal)]
-                revenue[t] = fees[pos].sum()
-                dup_rate[t] = 0.0
-                unique_cnt[t] = 0.0
-                chain_rev[t] = 0.0
+        revenue, dup_rate, unique_cnt, chain_rev = _trial_outcomes(
+            source, fees, params.lam, seed, s_idx, trials
+        )
         reports.append(
             ExperimentReport(
                 strategy=name,

@@ -254,6 +254,40 @@ GOLDEN_STDOUT = {
   }
 ]
 """,
+    ("simulate", "--strategies", "equilibrium,greedy,uniform-random-k", "--trials", "700",
+     "--seed", "11"): """[
+  {
+    "strategy": "equilibrium",
+    "trials": 700,
+    "seed": 11,
+    "mean_exclusive_revenue": 2.37990241211,
+    "stderr_exclusive_revenue": 0.0808020316271,
+    "mean_duplication_rate": 0.100476190476,
+    "mean_unique_tx": 2.20571428571,
+    "mean_chain_revenue": 3.57634681932
+  },
+  {
+    "strategy": "greedy",
+    "trials": 700,
+    "seed": 11,
+    "mean_exclusive_revenue": 1.99684670405,
+    "stderr_exclusive_revenue": 0.0961821443747,
+    "mean_duplication_rate": 0.154904761905,
+    "mean_unique_tx": 1.85571428571,
+    "mean_chain_revenue": 3.2383319208
+  },
+  {
+    "strategy": "uniform-random-k",
+    "trials": 700,
+    "seed": 11,
+    "mean_exclusive_revenue": 2.27938351614,
+    "stderr_exclusive_revenue": 0.0561932825179,
+    "mean_duplication_rate": 0.0742857142857,
+    "mean_unique_tx": 2.39142857143,
+    "mean_chain_revenue": 2.80156918723
+  }
+]
+""",
 }
 
 
@@ -307,6 +341,33 @@ def test_nan_budget_exits_3(capsys, tmp_path):
     assert rc == 3
     assert out == ""
     assert err.startswith("invariant violation:") and "nan" in err
+
+
+def test_simulate_variable_mode_exits_1(capsys, golden_mempool_file):
+    rc, out, err = run_cli(
+        capsys, "simulate", "--mempool", str(golden_mempool_file), "--k", "3", "--lambda", "1",
+        "--trials", "10", "--mode", "variable",
+    )
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "--mode fixed" in err
+
+
+@pytest.mark.parametrize("k", ["2.5", "3"])
+def test_verify_variable_mode_skips_brute_force(capsys, tmp_path, k):
+    # The brute force enumerates unit-size k-subsets; a sized game has no such oracle.
+    path = tmp_path / "sized.json"
+    path.write_text(json.dumps({"transactions": [
+        {"id": i, "gas_price": v, "size": s}
+        for i, v, s in [(1, 3.0, 1.5), (2, 2.5, 0.5), (3, 2.0, 1.0), (4, 1.5, 2.0), (5, 1.0, 0.7)]
+    ]}))
+    rc, out, _ = run_cli(
+        capsys, "verify", "--mempool", str(path), "--k", k, "--lambda", "1", "--mode", "variable"
+    )
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["passes"] is True
+    assert "brute_force" not in doc
 
 
 def _reference_dumps12(obj, indent=0) -> str:

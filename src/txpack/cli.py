@@ -145,7 +145,7 @@ def _load_profile(path, mempool: Mempool) -> MarginalProfile:
         raise ValidationError("profile must list every mempool transaction id exactly once")
     values = np.empty(len(mempool))
     values[pos] = np.array([rec["p"] for rec in doc["marginals"]], dtype=np.float64)
-    return MarginalProfile(mempool.ids, values, doc.get("xhat", 0.0), doc.get("w", 0.0))
+    return MarginalProfile(mempool.ids, values, doc.get("xhat", 0.0), doc.get("w"))
 
 
 def cmd_equilibrium(args):
@@ -171,7 +171,7 @@ def cmd_sample(args):
         if r is None:
             r = float(np.random.default_rng(_seed(args)).random())
         profile = solve_equilibrium(mempool, params, mode=args.mode)
-        block = sample_block(profile, r, k=params.require_integer_k())
+        block = sample_block(profile, r, k=params.block_size(len(mempool)))
         doc = {"txids": sorted(block.txids), "used_capacity": float(block.used_capacity)}
     _emit(doc, args.out)
 

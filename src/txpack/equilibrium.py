@@ -3,6 +3,8 @@
 The pipeline is: raw marginals (which may fall outside [0,1]) -> smallest
 shift ``xhat`` making the truncated marginals use exactly the block
 capacity -> clamped profile plus the equilibrium price threshold ``w``.
+Capacity sums go through ``capacity``, which never calls BLAS, so no result
+depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -31,13 +33,14 @@ class MarginalProfile:
 
     ``values[i]`` is the probability that the symmetric equilibrium strategy
     packages transaction ``ids[i]``. ``w`` is the common discounted gas price
-    v(tx)*exp(-lambda*p(tx)) of every interior transaction.
+    v(tx)*exp(-lambda*p(tx)) of every interior transaction, or None for a
+    profile that carries no threshold (such as the greedy and uniform ones).
     """
 
     ids: np.ndarray
     values: np.ndarray
     xhat: float
-    w: float
+    w: float | None
 
     def as_dict(self) -> dict:
         return {int(i): float(v) for i, v in zip(self.ids, self.values)}
@@ -54,11 +57,11 @@ class MarginalProfile:
                 {"id": i, "p": v} for i, v in zip(self.ids.tolist(), self.values.tolist())
             ],
             "xhat": float(self.xhat),
-            "w": float(self.w),
+            "w": None if self.w is None else float(self.w),
         }
 
 
-def _check_solver_inputs(mempool: Mempool, params: GameParams):
+def check_solver_inputs(mempool: Mempool, params: GameParams):
     if len(mempool) == 0:
         raise ValidationError("empty mempool")
     if params.lam == 0:
@@ -68,33 +71,37 @@ def _check_solver_inputs(mempool: Mempool, params: GameParams):
 def compute_phat(mempool: Mempool, params: GameParams) -> RawMarginals:
     """Raw equilibrium marginals for unit-size transactions.
 
-    p(tx) = k/m + (ln v(tx) - mean ln v) / lambda. The values sum to k but
-    individual entries may lie outside [0,1].
+    p(tx) = k/m + (ln v(tx) - mean ln v) / lambda: the unit-size case of
+    compute_phat_real. The values sum to k but individual entries may lie
+    outside [0,1].
     """
-    _check_solver_inputs(mempool, params)
     if not mempool.is_unit_size:
         raise ValidationError("compute_phat requires unit sizes; use compute_phat_real")
-    m = len(mempool)
-    values = params.k / m + (mempool.log_prices - mempool.log_prices.mean()) / params.lam
-    return RawMarginals(mempool.ids, values)
+    return compute_phat_real(mempool, params)
 
 
 def compute_phat_real(mempool: Mempool, params: GameParams) -> RawMarginals:
     """Raw marginals for arbitrary positive sizes.
 
-    Capacity-weighted analogue of compute_phat: sum of s(tx)*p(tx) equals k.
-    Reduces to compute_phat when every size is 1.
+    p(tx) = k/S + (ln v(tx) - wmean) / lambda, with S the total size and
+    wmean the size-weighted mean log price, so sum of s(tx)*p(tx) equals k.
     """
-    _check_solver_inputs(mempool, params)
-    sums = mempool.total_size
-    wmean = float(mempool.sizes @ mempool.log_prices) / sums
-    values = params.k / sums + (mempool.log_prices - wmean) / params.lam
+    check_solver_inputs(mempool, params)
+    shifted = mempool.log_prices - mempool.mean_log_price
+    values = params.k / mempool.total_size + shifted / params.lam
     return RawMarginals(mempool.ids, values)
+
+
+def capacity(values: np.ndarray, sizes: np.ndarray) -> float:
+    """Sum of values * sizes; einsum's own loop, not BLAS, so its bits are fixed."""
+    return float(np.einsum("i,i->", values, sizes))
 
 
 def clamp_sum(values: np.ndarray, sizes: np.ndarray, x: float) -> float:
     """Capacity used by the truncated marginals min(max(p - x, 0), 1)."""
-    return float(np.clip(values - x, 0.0, 1.0) @ sizes)
+    t = values - x
+    np.clip(t, 0.0, 1.0, out=t)
+    return capacity(t, sizes)
 
 
 def solve_xhat(raw: RawMarginals, sizes: np.ndarray, k: float) -> float:
@@ -135,19 +142,20 @@ def solve_xhat(raw: RawMarginals, sizes: np.ndarray, k: float) -> float:
     return left + (k - f_left) / slope
 
 
+def threshold(xhat: float, mempool: Mempool, params: GameParams) -> float:
+    """Equilibrium threshold w at clamp shift xhat: the price whose raw marginal is exactly xhat."""
+    sums = mempool.total_size
+    log_w = -params.lam * params.k / sums + mempool.mean_log_price + params.lam * xhat
+    return float(np.exp(log_w))
+
+
 def clamp_marginals(
     raw: RawMarginals, xhat: float, mempool: Mempool, params: GameParams
 ) -> MarginalProfile:
     """Truncate raw marginals at xhat and attach the equilibrium threshold w."""
     values = np.clip(raw.values - xhat, 0.0, 1.0)
-    sums = mempool.total_size
-    log_w = (
-        -params.lam * params.k / sums
-        + float(mempool.sizes @ mempool.log_prices) / sums
-        + params.lam * xhat
-    )
-    profile = MarginalProfile(mempool.ids, values, float(xhat), float(np.exp(log_w)))
-    used = float(values @ mempool.sizes)
+    profile = MarginalProfile(mempool.ids, values, float(xhat), threshold(xhat, mempool, params))
+    used = capacity(values, mempool.sizes)
     if not abs(used - params.k) <= BUDGET_RTOL * max(1.0, params.k):  # NaN fails too
         raise InvariantViolation(
             f"clamped marginals use capacity {used!r}, expected {params.k!r}"
@@ -169,18 +177,11 @@ def solve_equilibrium(mempool: Mempool, params: GameParams, mode: str = "fixed")
         raw = compute_phat_real(mempool, params)
     else:
         raise ValidationError(f"unknown mode {mode!r}")
-    total = mempool.total_size
-    if total <= params.k:
+    if mempool.total_size <= params.k:
         # Everything fits: all marginals are 1 and any shift at or below
         # min(p)-1 clamps to exactly that.
         xhat = float(raw.values.min() - 1.0)
-        values = np.ones(len(mempool))
-        sums = total
-        log_w = (
-            -params.lam * params.k / sums
-            + float(mempool.sizes @ mempool.log_prices) / sums
-            + params.lam * xhat
-        )
-        return MarginalProfile(mempool.ids, values, xhat, float(np.exp(log_w)))
+        w = threshold(xhat, mempool, params)
+        return MarginalProfile(mempool.ids, np.ones(len(mempool)), xhat, w)
     xhat = solve_xhat(raw, mempool.sizes, params.k)
     return clamp_marginals(raw, xhat, mempool, params)

@@ -35,10 +35,6 @@ class InvariantViolation(TxpackError):
 class RejectionBudgetExceeded(TxpackError):
     """The rejection sampler ran out of attempts."""
 
-    def __init__(self, attempts, acceptance_estimate):
+    def __init__(self, attempts):
         self.attempts = attempts
-        self.acceptance_estimate = acceptance_estimate
-        super().__init__(
-            f"no accepted draw in {attempts} attempts "
-            f"(empirical acceptance ~ {acceptance_estimate:.3g})"
-        )
+        super().__init__(f"no accepted draw in {attempts} attempts")

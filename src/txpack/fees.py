@@ -1,11 +1,12 @@
 """Endogenous base-fee bounds.
 
 v_low is the gas price below which a transaction is never packaged; v_high
-the price above which every block packages it. Both come from asking what
-price a zero-size virtual transaction would need for its raw marginal to
-hit the clamp boundary. The closed forms without the clamp shift are also
-provided; they coincide with the shift-aware bounds exactly when no
-clamping is active (xhat = 0).
+the price above which every block packages it. They are the prices at which
+a zero-size virtual transaction's marginal hits the clamp boundaries, so
+v_low = w, the equilibrium threshold, and v_high = w * e^lambda. The
+shift-aware mode reads w from the solved profile; the paper's closed form
+takes w at clamp shift 0, so the two coincide exactly when no clamping is
+active (xhat = 0).
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import compute_phat_real, solve_xhat
-from .errors import MempoolFitsInBlock, ValidationError, ZeroLatencyError
+from .equilibrium import check_solver_inputs, solve_equilibrium, threshold
+from .errors import MempoolFitsInBlock, ValidationError
 from .mempool import GameParams, Mempool
 
 MODES = ("paper_closed_form", "xhat_aware")
@@ -40,24 +41,15 @@ class FeeBounds:
 def base_fee(mempool: Mempool, params: GameParams, mode: str = "xhat_aware") -> FeeBounds:
     if mode not in MODES:
         raise ValidationError(f"unknown fee mode {mode!r}; expected one of {MODES}")
-    if len(mempool) == 0:
-        raise ValidationError("empty mempool")
-    if params.lam == 0:
-        raise ZeroLatencyError()
+    check_solver_inputs(mempool, params)
     sums = mempool.total_size
     if sums < params.k:
         raise MempoolFitsInBlock(
             f"total capacity {sums:g} < block capacity {params.k:g}; no binding base fee"
         )
-    wmean = float(mempool.sizes @ mempool.log_prices) / sums
     if mode == "paper_closed_form":
-        v_low = np.exp(wmean - params.k * params.lam / sums)
-        v_high = np.exp(wmean + (sums - params.k) * params.lam / sums)
-        return FeeBounds(float(v_low), float(v_high), mode, xhat=0.0)
-    raw = compute_phat_real(mempool, params)
-    xhat = solve_xhat(raw, mempool.sizes, params.k)
-    # A zero-size virtual tx has raw marginal k/sums + (ln v - wmean)/lambda
-    # without perturbing anyone else; solve that for the clamp boundaries.
-    v_low = np.exp(wmean + params.lam * (xhat - params.k / sums))
-    v_high = np.exp(wmean + params.lam * (xhat + 1.0 - params.k / sums))
-    return FeeBounds(float(v_low), float(v_high), mode, xhat=float(xhat))
+        w, xhat = threshold(0.0, mempool, params), 0.0
+    else:
+        profile = solve_equilibrium(mempool, params, mode="variable")
+        w, xhat = profile.w, profile.xhat
+    return FeeBounds(w, w * float(np.exp(params.lam)), mode, xhat)

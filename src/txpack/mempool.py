@@ -98,6 +98,11 @@ class Mempool:
         # Recomputed on access so it can never go stale.
         return float(self.sizes.sum())
 
+    @cached_property
+    def mean_log_price(self) -> float:
+        """Size-weighted mean of the log gas prices; the plain mean for unit sizes."""
+        return float((self.sizes * self.log_prices).sum()) / self.total_size
+
     @property
     def is_unit_size(self) -> bool:
         return bool(np.all(self.sizes == 1.0))
@@ -161,6 +166,10 @@ class GameParams:
         if self.k != int(self.k):
             raise ValidationError(f"fixed-size mode requires integer k, got {self.k!r}")
         return int(self.k)
+
+    def block_size(self, m: int) -> int:
+        """Transactions in one fixed-mode block over m transactions: min(k, m)."""
+        return min(self.require_integer_k(), m)
 
 
 def load_mempool(source) -> Mempool:

@@ -102,7 +102,7 @@ class _UniformSource(_BlockSource):
 
     def __init__(self, mempool: Mempool, k: int):
         self.ids = mempool.ids
-        self.k = min(k, len(mempool))
+        self.k = k
 
     def tokens(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # Selecting at once keeps k positions, not m keys, per block.
@@ -128,7 +128,7 @@ class _MixedSource(_BlockSource):
 
 
 def _block_source(name: str, mempool: Mempool, params: GameParams):
-    k = params.require_integer_k()
+    k = params.block_size(len(mempool))
     if name == "equilibrium":
         return _ProfileSource(solve_equilibrium(mempool, params), k, mempool)
     if name == "greedy":
@@ -152,7 +152,7 @@ def simulate_round(
     block count instead of sampling it. Duplication, throughput and both
     revenue accountings count all of the round's blocks.
     """
-    k = params.require_integer_k()
+    k = params.block_size(len(mempool))
     if isinstance(strategy, MarginalProfile):
         source = _ProfileSource(strategy, k, mempool)
     elif isinstance(strategy, MixedStrategy):
@@ -286,7 +286,7 @@ def measure_exclusion_frequency(
     rng = np.random.default_rng(seed)
     gammas = rng.poisson(params.lam, trials)
     total = int(gammas.sum())
-    sampler = SegmentSampler(profile, params.require_integer_k())
+    sampler = SegmentSampler(profile, params.block_size(len(profile.values)))
     if total:
         blocks = sampler.select_many(rng.random(total))
         hit = (blocks == txid).any(axis=1).astype(np.int64)

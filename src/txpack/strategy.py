@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import MarginalProfile
+from .equilibrium import MarginalProfile, capacity
 from .errors import RejectionBudgetExceeded, ValidationError
 from .mempool import Mempool
 
@@ -168,7 +168,7 @@ def rejection_sample_block(
     """
     p = np.asarray(profile.values, dtype=np.float64)
     sizes = mempool.sizes
-    kprime = float(p @ sizes)
+    kprime = capacity(p, sizes)
     if lower is None:
         lower = max(0.0, 2.0 * kprime - k)
     eps = 1e-12 * max(1.0, k)
@@ -187,4 +187,4 @@ def rejection_sample_block(
             txids = frozenset(mempool.ids[chosen].tolist())
             return Block(txids, float(totals[i]), miner_tag), attempts + i + 1
         attempts += n
-    raise RejectionBudgetExceeded(max_attempts, 1.0 / (max_attempts + 1))
+    raise RejectionBudgetExceeded(max_attempts)

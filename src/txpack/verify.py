@@ -113,7 +113,8 @@ def verify_equilibrium(
 
     Requires a w such that every zero-probability transaction has discounted
     price <= w, every certainly-included one >= w, and every interior one
-    == w. Violations are measured relative to w.
+    == w. Violations are measured relative to w. A profile without a w
+    (``w is None``) is checked against one estimated from its discounted prices.
     """
     p = _own_vector(profile, mempool)
     vt = discounted_prices(profile, mempool, params)
@@ -121,7 +122,7 @@ def verify_equilibrium(
     one = p >= 1.0
     interior = ~zero & ~one
 
-    w = profile.w if getattr(profile, "w", None) else None
+    w = profile.w
     if w is None:
         if interior.any():
             w = float(np.median(vt[interior]))
@@ -174,7 +175,7 @@ def brute_force_check(
 
     best_gain = -math.inf
     best_set: tuple = ()
-    for combo in itertools.combinations(range(m), min(k, m)):
+    for combo in itertools.combinations(range(m), params.block_size(m)):
         u = float(vt[list(combo)].sum())
         if u - sym > best_gain:
             best_gain = u - sym
@@ -186,21 +187,20 @@ def brute_force_check(
             "txids": tuple(int(mempool.ids[i]) for i in best_set),
             "utility_gain": best_gain,
         }
-    w = profile.w if getattr(profile, "w", None) else float("nan")
+    w = float("nan") if profile.w is None else profile.w
     return EquilibriumVerdict(passes, w, float(max(best_gain, 0.0)), witness)
 
 
 def greedy_profile(mempool: Mempool, params: GameParams) -> MarginalProfile:
     """Deterministic top-k-by-price profile (the naive packaging strategy)."""
-    k = params.require_integer_k()
     order = np.argsort(-mempool.prices, kind="stable")
     values = np.zeros(len(mempool))
-    values[order[: min(k, len(mempool))]] = 1.0
-    return MarginalProfile(mempool.ids, values, xhat=0.0, w=0.0)
+    values[order[: params.block_size(len(mempool))]] = 1.0
+    return MarginalProfile(mempool.ids, values, xhat=0.0, w=None)
 
 
 def uniform_profile(mempool: Mempool, params: GameParams) -> MarginalProfile:
     """Every transaction equally likely: p = k/m."""
     m = len(mempool)
     values = np.full(m, min(params.k / m, 1.0))
-    return MarginalProfile(mempool.ids, values, xhat=0.0, w=0.0)
+    return MarginalProfile(mempool.ids, values, xhat=0.0, w=None)

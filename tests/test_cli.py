@@ -93,6 +93,35 @@ def test_verify_solver_output(capsys, golden_mempool_file):
     assert doc["brute_force"]["passes"] is True
 
 
+NO_W_PROFILE_STDOUT = """{
+  "passes": false,
+  "w": 0.683939720586,
+  "worst_violation": 0.557701478737,
+  "witness": {
+    "txids": [
+      2,
+      5,
+      6
+    ],
+    "utility_gain": 1.07408541306
+  },
+  "brute_force": {
+    "passes": false,
+    "w": null,
+    "worst_violation": 1.07408541306,
+    "witness": {
+      "txids": [
+        2,
+        5,
+        6
+      ],
+      "utility_gain": 1.07408541306
+    }
+  }
+}
+"""
+
+
 def test_verify_external_profile_with_witness(capsys, tmp_path, golden_mempool_file):
     # greedy profile: p = 1 on the top three prices
     profile = {
@@ -109,6 +138,8 @@ def test_verify_external_profile_with_witness(capsys, tmp_path, golden_mempool_f
     assert doc["passes"] is False
     assert doc["witness"]["utility_gain"] > 0
     assert doc["brute_force"]["passes"] is False
+    # A profile without "w" is checked against an estimated threshold.
+    assert out == NO_W_PROFILE_STDOUT
 
 
 def test_simulate_subcommand(capsys, golden_mempool_file, tmp_path):
@@ -480,3 +511,23 @@ def test_large_stdout_sha256(capsys, tmp_path, argv):
     rc, out, _ = run_cli(capsys, cmd, "--mempool", str(path), "--lambda", "1", *rest)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+
+
+@pytest.mark.parametrize("strategy", ["equilibrium", "greedy", "uniform-random-k"])
+def test_simulate_block_larger_than_mempool(capsys, golden_mempool_file, strategy):
+    # A fixed-mode block holds min(k, m) transactions, whatever the strategy.
+    rc, out, err = run_cli(
+        capsys, "simulate", "--mempool", str(golden_mempool_file), "--k", "10", "--lambda", "1",
+        "--trials", "50", "--strategies", strategy,
+    )
+    assert rc == 0, err
+    assert json.loads(out)[0]["strategy"] == strategy
+
+
+def test_sample_block_larger_than_mempool(capsys, golden_mempool_file):
+    rc, out, err = run_cli(
+        capsys, "sample", "--mempool", str(golden_mempool_file), "--k", "10", "--lambda", "1",
+        "--r", "0.5",
+    )
+    assert rc == 0, err
+    assert json.loads(out)["txids"] == [1, 2, 3, 4, 5, 6, 7]

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import txpack
 from txpack import (
     GameParams,
     Mempool,
@@ -206,3 +212,39 @@ class TestSolveEquilibrium:
     def test_unknown_mode(self, golden_mempool, golden_params):
         with pytest.raises(ValidationError, match="mode"):
             solve_equilibrium(golden_mempool, golden_params, mode="bogus")
+
+
+# Prints the bits of the solver's and the base fee's results on seeded
+# 1e5-transaction mempools: fixed mode on unit sizes, variable mode and the
+# shift-aware base fee on random sizes.
+_BITS_SCRIPT = """
+import hashlib
+import numpy as np
+from txpack import GameParams, Mempool, base_fee, solve_equilibrium
+m = 100_000
+for seed in (2, 3, 6, 7):
+    rng = np.random.default_rng(seed)
+    prices = np.exp(rng.uniform(-3, 3, m))
+    sizes = rng.uniform(0.2, 4.0, m)
+    params = GameParams(k=m // 10, lam=1.0)
+    unit = solve_equilibrium(Mempool.from_arrays(np.arange(m), prices), params)
+    sized_mp = Mempool.from_arrays(np.arange(m), prices, sizes)
+    sized = solve_equilibrium(sized_mp, params, mode="variable")
+    fee = base_fee(sized_mp, params, "xhat_aware")
+    for p in (unit, sized):
+        print(hashlib.sha256(p.values.tobytes()).hexdigest(), p.xhat.hex(), p.w.hex())
+    print(fee.v_low.hex(), fee.v_high.hex(), fee.xhat.hex())
+"""
+
+
+def test_bits_do_not_depend_on_blas_threads():
+    src = str(Path(txpack.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _BITS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0].count("\n") == 12
+    assert outs[0] == outs[1]

@@ -59,7 +59,9 @@ def test_v_low_equals_threshold(seed):
     params = GameParams(k=k, lam=float(rng.uniform(0.2, 4)))
     fb = base_fee(mp, params, "xhat_aware")
     profile = solve_equilibrium(mp, params, mode="variable")
-    assert fb.v_low == pytest.approx(profile.w, rel=1e-9)
+    assert fb.v_low == profile.w
+    assert fb.v_high == profile.w * np.exp(params.lam)
+    assert fb.xhat == profile.xhat
     assert fb.v_low <= fb.v_high
 
 

@@ -191,9 +191,10 @@ class TestRejectionSampler:
         # acceptance window is unreachable: p = 1 on a tx bigger than k
         mp = Mempool([Transaction(0, 1.0, 5.0)])
         profile = MarginalProfile(mp.ids, np.array([1.0]), 0.0, 1.0)
-        with pytest.raises(RejectionBudgetExceeded):
+        with pytest.raises(RejectionBudgetExceeded, match=r"^no accepted draw in 50 attempts$") as e:
             rejection_sample_block(mp, profile, 2.0, np.random.default_rng(0),
                                    lower=0.0, max_attempts=50)
+        assert e.value.attempts == 50
 
     def test_chunk_height_keeps_the_draw(self, monkeypatch):
         # A window only a few percent of draws hit, so acceptance spans many chunks.

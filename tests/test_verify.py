@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,15 @@ class TestVerifyEquilibrium:
         profile = solve_equilibrium(mp, params, mode="variable")
         verdict = verify_equilibrium(profile, mp, params)
         assert verdict.passes, verdict
+
+    def test_zero_w_is_a_threshold_not_absent(self, golden_mempool, golden_params):
+        profile = solve_equilibrium(golden_mempool, golden_params)
+        absent = verify_equilibrium(replace(profile, w=None), golden_mempool, golden_params)
+        assert absent.passes
+        assert absent.w == pytest.approx(np.exp(-1 / 3), rel=1e-9)
+        zero = verify_equilibrium(replace(profile, w=0.0), golden_mempool, golden_params)
+        assert zero.w == 0.0
+        assert not zero.passes
 
     def test_all_ones_passes_vacuously(self):
         mp = Mempool([Transaction(i, float(i + 1)) for i in range(3)])

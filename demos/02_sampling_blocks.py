@@ -29,7 +29,7 @@ for (a, b), prob, txids in zip(strategy.intervals, strategy.atom_probs, strategy
 print()
 for r in (0.0, 0.37, 0.8):
     block = sample_block(profile, r, k=3)
-    print(f"r = {r:<5} selects {sorted(block.txids)}")
+    print(f"r = {r:<5} selects {block.ids.tolist()}")
 
 # the analytic atom marginals reproduce the profile exactly
 induced = strategy.induced_marginals()

@@ -162,7 +162,7 @@ def cmd_sample(args):
         rng = np.random.default_rng(_seed(args))
         block, attempts = rejection_sample_block(mempool, reduced, params.k, rng)
         doc = {
-            "txids": sorted(block.txids),
+            "txids": block.ids.tolist(),
             "used_capacity": float(block.used_capacity),
             "attempts": attempts,
         }
@@ -172,7 +172,7 @@ def cmd_sample(args):
             r = float(np.random.default_rng(_seed(args)).random())
         profile = solve_equilibrium(mempool, params, mode=args.mode)
         block = sample_block(profile, r, k=params.block_size(len(mempool)))
-        doc = {"txids": sorted(block.txids), "used_capacity": float(block.used_capacity)}
+        doc = {"txids": block.ids.tolist(), "used_capacity": float(block.used_capacity)}
     _emit(doc, args.out)
 
 

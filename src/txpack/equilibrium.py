@@ -45,6 +45,12 @@ class MarginalProfile:
     def as_dict(self) -> dict:
         return {int(i): float(v) for i, v in zip(self.ids, self.values)}
 
+    def values_for(self, mempool: Mempool) -> np.ndarray:
+        """The marginals in mempool order; the profile must list the mempool's ids in its order."""
+        if len(self.ids) != len(mempool) or not np.array_equal(self.ids, mempool.ids):
+            raise ValidationError("profile does not match the mempool")
+        return np.asarray(self.values, dtype=np.float64)
+
     def probability(self, txid: int) -> float:
         idx = np.nonzero(self.ids == txid)[0]
         if idx.size == 0:

@@ -76,10 +76,6 @@ class _BlockSource:
     ``ids`` (the mempool's) and ``k``.
     """
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """(n, k) id matrix of n i.i.d. blocks."""
-        return self.ids[self.positions(self.tokens(rng, n))]
-
     def tokens(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.random(n)  # one probe per block
 
@@ -147,30 +143,23 @@ def simulate_round(
 ) -> RoundOutcome:
     """One latency window: gamma ~ Poisson(lambda) blocks drawn i.i.d.
 
-    ``strategy`` may be a MarginalProfile, a MixedStrategy, or a block
-    source with a ``draw(rng, n)`` method. Pass ``gamma`` to force the
-    block count instead of sampling it. Duplication, throughput and both
-    revenue accountings count all of the round's blocks.
+    ``strategy`` is a MarginalProfile or a MixedStrategy. Pass ``gamma`` to
+    force the block count instead of sampling it. Duplication, throughput
+    and both revenue accountings count all of the round's blocks.
     """
-    k = params.block_size(len(mempool))
     if isinstance(strategy, MarginalProfile):
-        source = _ProfileSource(strategy, k, mempool)
-    elif isinstance(strategy, MixedStrategy):
-        source = _MixedSource(strategy, mempool)
+        source = _ProfileSource(strategy, params.block_size(len(mempool)), mempool)
     else:
-        source = strategy
+        source = _MixedSource(strategy, mempool)
     if gamma is None:
         gamma = int(rng.poisson(params.lam))
-    block_ids = source.draw(rng, gamma)
-    pos = mempool.positions(block_ids.ravel()).reshape(block_ids.shape)
+    pos = source.positions(source.tokens(rng, gamma))
     fees = mempool.prices * mempool.sizes
     count = np.bincount(pos.ravel(), minlength=len(mempool))
     exclusive = np.where(count[pos] == 1, fees[pos], 0.0).sum(axis=1)
     used = mempool.sizes[pos].sum(axis=1)
-    blocks = [
-        Block(frozenset(row), u, f"miner-{j}")
-        for j, (row, u) in enumerate(zip(block_ids.tolist(), used.tolist()))
-    ]
+    block_ids = np.sort(mempool.ids[pos], axis=1)
+    blocks = [Block(ids, u, f"miner-{j}") for j, (ids, u) in enumerate(zip(block_ids, used.tolist()))]
     return RoundOutcome(
         gamma,
         blocks,
@@ -283,6 +272,8 @@ def measure_exclusion_frequency(
 
     Vectorized over all rounds; the closed-form target is exp(-lambda * p).
     """
+    if txid not in profile.ids:
+        raise ValidationError(f"transaction id {txid!r} is not in the profile")
     rng = np.random.default_rng(seed)
     gammas = rng.poisson(params.lam, trials)
     total = int(gammas.sum())

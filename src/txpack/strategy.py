@@ -11,6 +11,7 @@ independently and rejects draws outside a capacity window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,13 +23,23 @@ _SUM_TOL = 1e-9
 _CHUNK_BYTES = 1 << 23  # uniforms drawn per rejection chunk; bounds its memory at large m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Block:
-    """A packaged block: the chosen transaction ids and capacity they use."""
+    """A packaged block: the chosen transaction ids, sorted, and the capacity they use."""
 
-    txids: frozenset
+    ids: np.ndarray
     used_capacity: float
     miner_tag: str | None = None
+
+    @cached_property
+    def txids(self) -> frozenset:
+        return frozenset(self.ids.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Block):
+            return NotImplemented
+        return (np.array_equal(self.ids, other.ids)
+                and (self.used_capacity, self.miner_tag) == (other.used_capacity, other.miner_tag))
 
 
 @dataclass(frozen=True)
@@ -55,13 +66,6 @@ class MixedStrategy:
             for t in txids:
                 out[t] = out.get(t, 0.0) + float(prob)
         return out
-
-    def sample(self, r: float) -> Block:
-        cum = np.cumsum(self.atom_probs)
-        idx = int(np.searchsorted(cum, r, side="right"))
-        idx = min(idx, len(self.atom_txids) - 1)
-        txids = self.atom_txids[idx]
-        return Block(frozenset(txids), float(len(txids)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -98,14 +102,8 @@ class SegmentSampler:
             for t, a, b in zip(self.ids, self.cum[:-1], self.cum[1:])
         ]
 
-    def select(self, r: float) -> np.ndarray:
-        """Ids of the k segments covering r, r+1, ..., r+k-1."""
-        pos = r + np.arange(self.k, dtype=np.float64)
-        idx = np.searchsorted(self.cum, pos, side="right") - 1
-        return self.ids[idx]
-
     def select_many(self, rs: np.ndarray) -> np.ndarray:
-        """(n, k) id matrix for a batch of uniform draws."""
+        """(n, k) id matrix: row i holds the segments covering r_i, r_i+1, ..., r_i+k-1."""
         pos = np.asarray(rs, dtype=np.float64)[:, None] + np.arange(self.k)[None, :]
         idx = np.searchsorted(self.cum, pos.ravel(), side="right") - 1
         return self.ids[idx].reshape(len(rs), self.k)
@@ -125,26 +123,18 @@ def corresponding_strategy(profile: MarginalProfile, k: int) -> MixedStrategy:
     keep = np.concatenate([[True], np.diff(breaks) > 1e-12])
     keep[-1] = True
     breaks = breaks[keep]
-    probs, txsets, intervals = [], [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if b - a <= 1e-12:
-            continue
-        txids = sampler.select(0.5 * (a + b))
-        probs.append(b - a)
-        txsets.append(frozenset(int(t) for t in txids))
-        intervals.append((float(a), float(b)))
-    return MixedStrategy(np.array(probs), tuple(txsets), k, tuple(intervals))
+    wide = np.diff(breaks) > 1e-12
+    a, b = breaks[:-1][wide], breaks[1:][wide]
+    atoms = sampler.select_many(0.5 * (a + b)).tolist()
+    return MixedStrategy(b - a, tuple(map(frozenset, atoms)), k, tuple(zip(a.tolist(), b.tolist())))
 
 
-def sample_block(source, r: float, k: int | None = None, miner_tag=None) -> Block:
-    """Deterministically map r in [0,1) to a block, from a profile or strategy."""
+def sample_block(profile: MarginalProfile, r: float, k: int | None = None, miner_tag=None) -> Block:
+    """Deterministically map r in [0,1) to the block of the profile's segment layout."""
     if not 0.0 <= r < 1.0:
         raise ValidationError(f"r must lie in [0, 1), got {r!r}")
-    if isinstance(source, MixedStrategy):
-        block = source.sample(r)
-        return Block(block.txids, block.used_capacity, miner_tag)
-    txids = SegmentSampler(source, k).select(r)
-    return Block(frozenset(int(t) for t in txids), float(len(txids)), miner_tag)
+    ids = SegmentSampler(profile, k).select_many([r])[0]
+    return Block(np.sort(ids), float(len(ids)), miner_tag)
 
 
 def rejection_sample_block(
@@ -164,14 +154,18 @@ def rejection_sample_block(
     accepts once the drawn capacity lands in [lower, k]; the default lower
     bound is max(0, 2k' - k). Returns (block, attempts). Attempts are drawn
     ``chunk`` at a time, fewer when the mempool is large, so the uniforms
-    held at once stay within ``_CHUNK_BYTES``.
+    held at once stay within ``_CHUNK_BYTES``. A profile that does not list
+    the mempool's ids in its order, or an empty window, raises
+    ValidationError before anything is drawn.
     """
-    p = np.asarray(profile.values, dtype=np.float64)
+    p = profile.values_for(mempool)
     sizes = mempool.sizes
     kprime = capacity(p, sizes)
     if lower is None:
         lower = max(0.0, 2.0 * kprime - k)
     eps = 1e-12 * max(1.0, k)
+    if lower - eps > k + eps:
+        raise ValidationError(f"acceptance window [{float(lower)!r}, {float(k)!r}] is empty: no draw can fit")
     # Rows are filled in stream order and each total is summed within its own
     # row, so the chunk height changes neither the accepted draw nor its bits.
     rows = min(chunk, max(1, _CHUNK_BYTES // (8 * max(1, len(p)))))
@@ -183,8 +177,7 @@ def rejection_sample_block(
         ok = np.nonzero((totals >= lower - eps) & (totals <= k + eps))[0]
         if ok.size:
             i = int(ok[0])
-            chosen = np.nonzero(draws[i])[0]
-            txids = frozenset(mempool.ids[chosen].tolist())
-            return Block(txids, float(totals[i]), miner_tag), attempts + i + 1
+            ids = np.sort(mempool.ids[draws[i]])
+            return Block(ids, float(totals[i]), miner_tag), attempts + i + 1
         attempts += n
     raise RejectionBudgetExceeded(max_attempts)

@@ -58,9 +58,7 @@ class EquilibriumVerdict:
 def _own_vector(own, mempool: Mempool) -> np.ndarray:
     """Marginals in mempool order from a profile, a mapping or a pure id-set (absent ids: 0)."""
     if isinstance(own, MarginalProfile):
-        if len(own.ids) != len(mempool) or not np.array_equal(own.ids, mempool.ids):
-            raise ValidationError("profile does not match the mempool")
-        return np.asarray(own.values, dtype=np.float64)
+        return own.values_for(mempool)
     p = np.zeros(len(mempool))
     if isinstance(own, dict):
         p[mempool.positions(own.keys())] = np.fromiter(own.values(), np.float64, len(own))

@@ -524,6 +524,16 @@ def test_simulate_block_larger_than_mempool(capsys, golden_mempool_file, strateg
     assert json.loads(out)[0]["strategy"] == strategy
 
 
+def test_sample_kprime_above_k_exits_1(capsys, golden_mempool_file):
+    # the window [2k' - k, k] is empty, so the sampler refuses before its first draw
+    rc, out, err = run_cli(
+        capsys, "sample", "--mempool", str(golden_mempool_file), "--k", "3", "--lambda", "1",
+        "--mode", "variable", "--kprime", "5",
+    )
+    assert rc == 1 and out == ""
+    assert err == "error: acceptance window [7.0, 3.0] is empty: no draw can fit\n"
+
+
 def test_sample_block_larger_than_mempool(capsys, golden_mempool_file):
     rc, out, err = run_cli(
         capsys, "sample", "--mempool", str(golden_mempool_file), "--k", "10", "--lambda", "1",

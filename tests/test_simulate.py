@@ -72,6 +72,13 @@ def test_exclusion_frequency_tracks_closed_form(golden_mempool, golden_params):
         assert abs(freq - target) <= 4 * se + 1e-9
 
 
+def test_exclusion_frequency_rejects_unknown_txid(golden_mempool, golden_params):
+    # an id outside the profile is never in a block; that is no exclusion frequency
+    profile = solve_equilibrium(golden_mempool, golden_params)
+    with pytest.raises(ValidationError, match="999 is not in the profile"):
+        measure_exclusion_frequency(profile, 999, golden_params, 100)
+
+
 def config(mempool, **over):
     base = {
         "mempool": mempool,
@@ -138,7 +145,7 @@ def _reference_trial_outcomes(source, mempool, lam, seed, trials):
     for t in range(trials):
         rng = _trial_rng(seed, 0, t)
         gamma = int(rng.poisson(lam))
-        draws = source.draw(rng, gamma + 1)
+        draws = source.ids[source.positions(source.tokens(rng, gamma + 1))]
         focal, flat = draws[0], draws[1:].ravel()
         out[0, t] = fees[mempool.positions(focal[~np.isin(focal, flat)])].sum()
         if gamma:
@@ -181,6 +188,9 @@ def test_round_matches_dict_accounting():
     for strategy in (profile, corresponding_strategy(profile, 6)):
         for _ in range(30):
             out = simulate_round(mempool, strategy, params, rng)
+            for b in out.blocks:
+                assert b.ids.dtype == np.int64 and np.all(np.diff(b.ids) > 0)
+                assert b.txids == frozenset(b.ids.tolist())
             block_ids = np.array([sorted(b.txids) for b in out.blocks], dtype=np.int64).reshape(-1, 6)
             per_block, dup, uniq, wasted, chain, used = _reference_round_metrics(mempool, block_ids)
             assert out.per_block_exclusive_revenue == pytest.approx(per_block, rel=1e-13)

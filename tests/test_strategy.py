@@ -98,13 +98,20 @@ class TestSampleBlock:
             assert sample_block(profile, r, k=2).txids == frozenset({2, 3})
 
     def test_strategy_and_profile_agree(self, golden_mempool, golden_params):
-        profile = solve_equilibrium(golden_mempool, golden_params)
-        strat = corresponding_strategy(profile, 3)
-        # atom intervals partition [0,1): probing inside each interval
-        # through either route selects the same set
-        for (a, b), txids in zip(strat.intervals, strat.atom_txids):
-            r = 0.5 * (a + b)
-            assert sample_block(profile, r, k=3).txids == txids
+        cases = [(solve_equilibrium(golden_mempool, golden_params), 3)]
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            mp = random_unit_mempool(rng, int(rng.integers(3, 41)))
+            k = int(rng.integers(1, len(mp)))
+            cases.append((solve_equilibrium(mp, GameParams(k=k, lam=float(rng.uniform(0.2, 3)))), k))
+        for profile, k in cases:
+            strat = corresponding_strategy(profile, k)
+            # atom intervals partition [0,1): probing inside each interval
+            # through either route selects the same set
+            for (a, b), txids in zip(strat.intervals, strat.atom_txids):
+                block = sample_block(profile, 0.5 * (a + b), k=k)
+                assert np.array_equal(block.ids, sorted(txids))
+                assert block.txids == txids
 
     def test_r_out_of_range(self, golden_mempool, golden_params):
         profile = solve_equilibrium(golden_mempool, golden_params)
@@ -195,6 +202,23 @@ class TestRejectionSampler:
             rejection_sample_block(mp, profile, 2.0, np.random.default_rng(0),
                                    lower=0.0, max_attempts=50)
         assert e.value.attempts == 50
+
+    @pytest.mark.parametrize("ids", [[7, 6, 5, 4, 3, 2, 1], [1, 2, 3, 4, 5, 6]],
+                             ids=["reversed", "short"])
+    def test_profile_must_match_mempool(self, golden_mempool, golden_params, ids):
+        # read by position, the reversed profile's marginals would land on the wrong transactions
+        solved = solve_equilibrium(golden_mempool, golden_params).values
+        profile = MarginalProfile(np.array(ids), solved[: len(ids)], 0.0, 1.0)
+        with pytest.raises(ValidationError, match="profile does not match the mempool"):
+            rejection_sample_block(golden_mempool, profile, 3.0, np.random.default_rng(0))
+
+    def test_empty_window_draws_nothing(self, golden_mempool):
+        profile = MarginalProfile(golden_mempool.ids, np.full(7, 0.5), 0.0, 1.0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError, match=r"window \[4\.0, 3\.0\] is empty"):
+            rejection_sample_block(golden_mempool, profile, 3.0, rng, lower=4.0)
+        assert rng.bit_generator.state == state
 
     def test_chunk_height_keeps_the_draw(self, monkeypatch):
         # A window only a few percent of draws hit, so acceptance spans many chunks.

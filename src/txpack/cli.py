@@ -134,7 +134,7 @@ def _load(args):
     mempool = load_mempool_file(args.mempool)
     if len(mempool) == 0:
         raise ValidationError("empty mempool")
-    return mempool, GameParams(k=args.k, lam=getattr(args, "lam"))
+    return mempool, GameParams(k=args.k, lam=args.lam)
 
 
 def _load_profile(path, mempool: Mempool) -> MarginalProfile:
@@ -215,14 +215,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="txpack", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, mode=True, seed=False):
+        """The shared flags; only the subcommands that draw at random take --seed."""
         p.add_argument("--mempool", required=True, help="mempool JSON file")
         p.add_argument("--k", type=float, required=True, help="block capacity")
         p.add_argument("--lambda", dest="lam", type=float, required=True,
                        help="expected competing blocks per latency window")
-        p.add_argument("--mode", choices=["fixed", "variable"], default="fixed")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (falls back to TXPACK_SEED, then 0)")
+        if mode:
+            p.add_argument("--mode", choices=["fixed", "variable"], default="fixed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="RNG seed (falls back to TXPACK_SEED, then 0)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("equilibrium", help="solve for the equilibrium marginal profile")
@@ -230,14 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_equilibrium)
 
     p = sub.add_parser("sample", help="sample one block from the equilibrium strategy")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--r", type=float, default=None, help="deterministic probe in [0,1)")
     p.add_argument("--kprime", type=float, default=None,
                    help="reduced capacity target for variable-size rejection sampling")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("basefee", help="compute base-fee bounds v_low / v_high")
-    common(p)
+    common(p, mode=False)
     p.add_argument("--fee-mode", choices=["paper", "xhat"], default="xhat")
     p.set_defaults(func=cmd_basefee)
 
@@ -249,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="Monte-Carlo latency-window experiments")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--strategies", default="equilibrium",
                    help="comma-separated: equilibrium,greedy,uniform-random-k")

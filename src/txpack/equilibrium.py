@@ -81,8 +81,7 @@ def compute_phat(mempool: Mempool, params: GameParams) -> RawMarginals:
     compute_phat_real. The values sum to k but individual entries may lie
     outside [0,1].
     """
-    if not mempool.is_unit_size:
-        raise ValidationError("compute_phat requires unit sizes; use compute_phat_real")
+    mempool.require_unit_size()
     return compute_phat_real(mempool, params)
 
 

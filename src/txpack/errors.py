@@ -21,10 +21,11 @@ class ZeroLatencyError(ValidationError):
 
 
 class MempoolFitsInBlock(TxpackError):
-    """Total mempool capacity does not exceed the block capacity.
+    """Total mempool capacity is below the block capacity.
 
-    Not a failure: the optimal strategy is to package everything.
-    Top-level entry points translate this into the all-ones profile.
+    ``base_fee`` and ``solve_xhat`` raise it, and ``txpack basefee`` exits 1
+    on it. ``solve_equilibrium`` never raises it: a mempool that fits in one
+    block gets the all-ones profile.
     """
 
 

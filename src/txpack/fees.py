@@ -11,7 +11,7 @@ active (xhat = 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,12 +30,7 @@ class FeeBounds:
     xhat: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "v_low": float(self.v_low),
-            "v_high": float(self.v_high),
-            "mode": self.mode,
-            "xhat": float(self.xhat),
-        }
+        return asdict(self)
 
 
 def base_fee(mempool: Mempool, params: GameParams, mode: str = "xhat_aware") -> FeeBounds:

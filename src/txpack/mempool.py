@@ -87,15 +87,13 @@ class Mempool:
         self.log_prices = np.log(prices)
         for arr in (self.ids, self.prices, self.sizes, self.log_prices):
             arr.setflags(write=False)
-        self._id_order = None  # argsort of ids, built on the first lookup
 
     @cached_property
     def transactions(self) -> tuple:
         return tuple(map(Transaction, self.ids.tolist(), self.prices.tolist(), self.sizes.tolist()))
 
-    @property
+    @cached_property
     def total_size(self) -> float:
-        # Recomputed on access so it can never go stale.
         return float(self.sizes.sum())
 
     @cached_property
@@ -103,15 +101,26 @@ class Mempool:
         """Size-weighted mean of the log gas prices; the plain mean for unit sizes."""
         return float((self.sizes * self.log_prices).sum()) / self.total_size
 
-    @property
+    @cached_property
     def is_unit_size(self) -> bool:
         return bool(np.all(self.sizes == 1.0))
+
+    def require_unit_size(self):
+        """Fixed mode's check: ValidationError naming the first transaction whose size is not 1."""
+        if not self.is_unit_size:
+            i = int(np.argmax(self.sizes != 1.0))
+            raise ValidationError(
+                f"fixed mode requires unit sizes, but transaction {self.ids[i]} has size "
+                f"{float(self.sizes[i])!r}; use variable mode for sized transactions"
+            )
+
+    @cached_property
+    def _id_order(self) -> np.ndarray:
+        return np.argsort(self.ids)
 
     def positions(self, txids) -> np.ndarray:
         """Mempool positions of the given ids; an unknown id raises ValidationError."""
         want = _id_column(txids)
-        if self._id_order is None:
-            self._id_order = np.argsort(self.ids)
         at = np.searchsorted(self.ids, want, sorter=self._id_order)
         known = at < len(self)
         known[known] = self.ids[self._id_order[at[known]]] == want[known]

@@ -17,13 +17,13 @@ no trial's outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .equilibrium import MarginalProfile, solve_equilibrium
 from .errors import ValidationError
-from .mempool import GameParams, Mempool, load_mempool_file
+from .mempool import GameParams, Mempool
 from .strategy import Block, MixedStrategy, SegmentSampler
 from .verify import greedy_profile
 
@@ -54,16 +54,7 @@ class ExperimentReport:
     mean_chain_revenue: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "trials": self.trials,
-            "seed": self.seed,
-            "mean_exclusive_revenue": float(self.mean_exclusive_revenue),
-            "stderr_exclusive_revenue": float(self.stderr_exclusive_revenue),
-            "mean_duplication_rate": float(self.mean_duplication_rate),
-            "mean_unique_tx": float(self.mean_unique_tx),
-            "mean_chain_revenue": float(self.mean_chain_revenue),
-        }
+        return asdict(self)
 
 
 class _BlockSource:
@@ -145,7 +136,8 @@ def simulate_round(
 
     ``strategy`` is a MarginalProfile or a MixedStrategy. Pass ``gamma`` to
     force the block count instead of sampling it. Duplication, throughput
-    and both revenue accountings count all of the round's blocks.
+    and both revenue accountings count all of the round's blocks; a block's
+    miner is its index in ``blocks``.
     """
     if isinstance(strategy, MarginalProfile):
         source = _ProfileSource(strategy, params.block_size(len(mempool)), mempool)
@@ -159,7 +151,7 @@ def simulate_round(
     exclusive = np.where(count[pos] == 1, fees[pos], 0.0).sum(axis=1)
     used = mempool.sizes[pos].sum(axis=1)
     block_ids = np.sort(mempool.ids[pos], axis=1)
-    blocks = [Block(ids, u, f"miner-{j}") for j, (ids, u) in enumerate(zip(block_ids, used.tolist()))]
+    blocks = list(map(Block, block_ids, used.tolist()))
     return RoundOutcome(
         gamma,
         blocks,
@@ -229,13 +221,13 @@ def _trial_outcomes(source, fees: np.ndarray, lam: float, seed: int, s_idx: int,
 def run_experiment(config: dict) -> list:
     """Run the configured strategies and return one ExperimentReport each.
 
-    Config keys: mempool (path or Mempool), lambda, k, trials, seed,
-    strategies (subset of equilibrium/greedy/uniform-random-k). Identical
-    configs produce identical reports.
+    Config keys: mempool (a Mempool), lambda, k, trials, seed, strategies
+    (subset of equilibrium/greedy/uniform-random-k). Identical configs
+    produce identical reports. Every strategy plays fixed mode's game, so
+    a mempool whose sizes are not all 1 raises ValidationError first.
     """
     mempool = config["mempool"]
-    if not isinstance(mempool, Mempool):
-        mempool = load_mempool_file(mempool)
+    mempool.require_unit_size()
     params = GameParams(k=config["k"], lam=config["lambda"])
     trials = int(config["trials"])
     if trials <= 0:

@@ -10,7 +10,7 @@ independently and rejects draws outside a capacity window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,7 +29,6 @@ class Block:
 
     ids: np.ndarray
     used_capacity: float
-    miner_tag: str | None = None
 
     @cached_property
     def txids(self) -> frozenset:
@@ -38,8 +37,7 @@ class Block:
     def __eq__(self, other):
         if not isinstance(other, Block):
             return NotImplemented
-        return (np.array_equal(self.ids, other.ids)
-                and (self.used_capacity, self.miner_tag) == (other.used_capacity, other.miner_tag))
+        return np.array_equal(self.ids, other.ids) and self.used_capacity == other.used_capacity
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,7 @@ class MixedStrategy:
     atom_probs: np.ndarray
     atom_txids: tuple
     k: int
-    intervals: tuple = field(default=())  # (start, end) of each atom's r-interval
+    intervals: tuple  # (start, end) of each atom's r-interval
 
     @property
     def support_size(self) -> int:
@@ -79,11 +77,9 @@ class MixedStrategy:
 class SegmentSampler:
     """Segment layout of a profile, reusable across many draws."""
 
-    def __init__(self, profile: MarginalProfile, k: int | None = None):
+    def __init__(self, profile: MarginalProfile, k: int):
         values = np.asarray(profile.values, dtype=np.float64)
         total = float(values.sum())
-        if k is None:
-            k = int(round(total))
         if abs(total - k) > _SUM_TOL * max(1.0, k):
             raise ValidationError(f"profile marginals sum to {total!r}, expected {k}")
         if np.any(values < 0) or np.any(values > 1 + 1e-12):
@@ -129,12 +125,12 @@ def corresponding_strategy(profile: MarginalProfile, k: int) -> MixedStrategy:
     return MixedStrategy(b - a, tuple(map(frozenset, atoms)), k, tuple(zip(a.tolist(), b.tolist())))
 
 
-def sample_block(profile: MarginalProfile, r: float, k: int | None = None, miner_tag=None) -> Block:
+def sample_block(profile: MarginalProfile, r: float, k: int) -> Block:
     """Deterministically map r in [0,1) to the block of the profile's segment layout."""
     if not 0.0 <= r < 1.0:
         raise ValidationError(f"r must lie in [0, 1), got {r!r}")
     ids = SegmentSampler(profile, k).select_many([r])[0]
-    return Block(np.sort(ids), float(len(ids)), miner_tag)
+    return Block(np.sort(ids), float(len(ids)))
 
 
 def rejection_sample_block(
@@ -144,7 +140,6 @@ def rejection_sample_block(
     rng: np.random.Generator,
     lower: float | None = None,
     max_attempts: int = 10_000,
-    miner_tag=None,
     chunk: int = 256,
 ):
     """Variable-size block sampling by independent draws plus rejection.
@@ -178,6 +173,6 @@ def rejection_sample_block(
         if ok.size:
             i = int(ok[0])
             ids = np.sort(mempool.ids[draws[i]])
-            return Block(ids, float(totals[i]), miner_tag), attempts + i + 1
+            return Block(ids, float(totals[i])), attempts + i + 1
         attempts += n
     raise RejectionBudgetExceeded(max_attempts)

@@ -193,6 +193,44 @@ def test_usage_error_exits_2(golden_mempool_file):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("equilibrium", "--seed", "1"), 2),
+    (("basefee", "--seed", "1"), 2),
+    (("verify", "--seed", "1"), 2),
+    (("basefee", "--mode", "fixed"), 2),
+    (("sample", "--seed", "1"), 0),
+    (("simulate", "--trials", "10", "--seed", "1"), 0),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_only_subcommands_that_read_a_flag_take_it(golden_mempool_file, argv, code):
+    # --seed only where a block is drawn at random; --mode everywhere but basefee
+    cmd, *rest = argv
+    try:
+        rc = main([cmd, "--mempool", str(golden_mempool_file), "--k", "3", "--lambda", "1", *rest])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample",),
+    ("equilibrium",),
+    ("simulate", "--trials", "10", "--strategies", "greedy"),
+    ("simulate", "--trials", "10", "--strategies", "uniform-random-k"),
+    ("simulate", "--trials", "10", "--strategies", "equilibrium"),
+], ids=" ".join)
+def test_fixed_mode_refuses_sized_mempool(capsys, tmp_path, argv):
+    path = tmp_path / "sized.json"
+    path.write_text(json.dumps({"transactions": [
+        {"id": i, "gas_price": v, "size": s}
+        for i, v, s in [(10, 3.0, 1.0), (11, 2.5, 1.0), (12, 2.0, 2.5), (13, 1.5, 0.5), (14, 1.0, 1.0)]
+    ]}))
+    cmd, *rest = argv
+    rc, out, err = run_cli(capsys, cmd, "--mempool", str(path), "--k", "2", "--lambda", "1", *rest)
+    assert rc == 1 and out == ""
+    assert "unit" in err and "compute_phat" not in err
+    assert "fixed mode" in err and "transaction 12 has size 2.5" in err and "variable mode" in err
+
+
 def test_twelve_significant_digits(capsys, golden_mempool_file):
     _, out, _ = run_cli(
         capsys, "basefee", "--mempool", str(golden_mempool_file), "--k", "3", "--lambda", "1"

@@ -18,7 +18,7 @@ raw = compute_phat(mempool, params)
 profile = solve_equilibrium(mempool, params)
 
 print(f"{'tx':>3} {'v(tx)':>10} {'raw p':>10} {'equilibrium p':>14}")
-for tx, r, p in zip(mempool, raw.values, profile.values):
+for tx, r, p in zip(mempool, raw, profile.values):
     print(f"{tx.id:>3} {tx.gas_price:>10.5f} {r:>10.5f} {p:>14.5f}")
 
 print()

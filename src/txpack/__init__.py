@@ -13,7 +13,6 @@ Library layout:
 
 from .equilibrium import (
     MarginalProfile,
-    RawMarginals,
     clamp_marginals,
     compute_phat,
     compute_phat_real,

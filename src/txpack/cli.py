@@ -185,6 +185,8 @@ def cmd_basefee(args):
 def cmd_verify(args):
     mempool, params = _load(args)
     if args.profile:
+        if args.mode == "fixed":  # the solver makes this check itself
+            mempool.require_unit_size()
         profile = _load_profile(args.profile, mempool)
     else:
         profile = solve_equilibrium(mempool, params, mode=args.mode)

@@ -20,14 +20,6 @@ BUDGET_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class RawMarginals:
-    """Unclamped per-transaction marginals, aligned to mempool order."""
-
-    ids: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class MarginalProfile:
     """Equilibrium inclusion probabilities with the clamp shift and threshold.
 
@@ -74,27 +66,26 @@ def check_solver_inputs(mempool: Mempool, params: GameParams):
         raise ZeroLatencyError()
 
 
-def compute_phat(mempool: Mempool, params: GameParams) -> RawMarginals:
-    """Raw equilibrium marginals for unit-size transactions.
+def compute_phat(mempool: Mempool, params: GameParams) -> np.ndarray:
+    """Raw equilibrium marginals for unit-size transactions, in mempool order.
 
     p(tx) = k/m + (ln v(tx) - mean ln v) / lambda: the unit-size case of
-    compute_phat_real. The values sum to k but individual entries may lie
-    outside [0,1].
+    compute_phat_real. The float64 array sums to k but individual entries
+    may lie outside [0,1].
     """
     mempool.require_unit_size()
     return compute_phat_real(mempool, params)
 
 
-def compute_phat_real(mempool: Mempool, params: GameParams) -> RawMarginals:
-    """Raw marginals for arbitrary positive sizes.
+def compute_phat_real(mempool: Mempool, params: GameParams) -> np.ndarray:
+    """Raw marginals for arbitrary positive sizes, as a float64 array in mempool order.
 
     p(tx) = k/S + (ln v(tx) - wmean) / lambda, with S the total size and
     wmean the size-weighted mean log price, so sum of s(tx)*p(tx) equals k.
     """
     check_solver_inputs(mempool, params)
     shifted = mempool.log_prices - mempool.mean_log_price
-    values = params.k / mempool.total_size + shifted / params.lam
-    return RawMarginals(mempool.ids, values)
+    return params.k / mempool.total_size + shifted / params.lam
 
 
 def capacity(values: np.ndarray, sizes: np.ndarray) -> float:
@@ -109,7 +100,7 @@ def clamp_sum(values: np.ndarray, sizes: np.ndarray, x: float) -> float:
     return capacity(t, sizes)
 
 
-def solve_xhat(raw: RawMarginals, sizes: np.ndarray, k: float) -> float:
+def solve_xhat(raw: np.ndarray, sizes: np.ndarray, k: float) -> float:
     """Smallest x with sum_tx min(max(p(tx)-x,0),1)*s(tx) = k.
 
     The left side is continuous, non-increasing, and piecewise linear with
@@ -117,7 +108,7 @@ def solve_xhat(raw: RawMarginals, sizes: np.ndarray, k: float) -> float:
     search over the sorted breakpoints and interpolate on the bracketed
     linear segment. O(m log m) total.
     """
-    p = np.asarray(raw.values, dtype=np.float64)
+    p = np.asarray(raw, dtype=np.float64)
     sizes = np.asarray(sizes, dtype=np.float64)
     total = float(sizes.sum())
     if total < k * (1.0 - BUDGET_RTOL):
@@ -155,10 +146,10 @@ def threshold(xhat: float, mempool: Mempool, params: GameParams) -> float:
 
 
 def clamp_marginals(
-    raw: RawMarginals, xhat: float, mempool: Mempool, params: GameParams
+    raw: np.ndarray, xhat: float, mempool: Mempool, params: GameParams
 ) -> MarginalProfile:
     """Truncate raw marginals at xhat and attach the equilibrium threshold w."""
-    values = np.clip(raw.values - xhat, 0.0, 1.0)
+    values = np.clip(raw - xhat, 0.0, 1.0)
     profile = MarginalProfile(mempool.ids, values, float(xhat), threshold(xhat, mempool, params))
     used = capacity(values, mempool.sizes)
     if not abs(used - params.k) <= BUDGET_RTOL * max(1.0, params.k):  # NaN fails too
@@ -185,7 +176,7 @@ def solve_equilibrium(mempool: Mempool, params: GameParams, mode: str = "fixed")
     if mempool.total_size <= params.k:
         # Everything fits: all marginals are 1 and any shift at or below
         # min(p)-1 clamps to exactly that.
-        xhat = float(raw.values.min() - 1.0)
+        xhat = float(raw.min() - 1.0)
         w = threshold(xhat, mempool, params)
         return MarginalProfile(mempool.ids, np.ones(len(mempool)), xhat, w)
     xhat = solve_xhat(raw, mempool.sizes, params.k)

@@ -24,7 +24,7 @@ import numpy as np
 from .equilibrium import MarginalProfile, solve_equilibrium
 from .errors import ValidationError
 from .mempool import GameParams, Mempool
-from .strategy import Block, MixedStrategy, SegmentSampler
+from .strategy import Block, SegmentSampler
 from .verify import greedy_profile
 
 STRATEGY_NAMES = ("equilibrium", "greedy", "uniform-random-k")
@@ -57,61 +57,40 @@ class ExperimentReport:
         return asdict(self)
 
 
-class _BlockSource:
-    """Draws blocks in two steps: per-block tokens from a generator, then positions.
+class _ProfileSource:
+    """Blocks from a profile's segment sampler, drawn in two steps.
 
-    ``tokens(rng, n)`` draws n blocks and keeps the least each one needs:
-    one uniform probe, or the k positions of a uniform subset.
-    ``positions(tokens)`` turns any number of tokens, from one round or from
-    a chunk of trials, into an (n, k) mempool-position matrix. Subclasses set
-    ``ids`` (the mempool's) and ``k``.
+    ``tokens(rng, n)`` keeps the least each of n blocks needs (one probe here,
+    a k-subset in ``_UniformSource``); ``positions`` turns the tokens of one
+    round or of a chunk of trials into an (n, k) mempool-position matrix.
     """
-
-    def tokens(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.random(n)  # one probe per block
-
-
-class _ProfileSource(_BlockSource):
-    """Blocks from the segment sampler of a marginal profile."""
 
     def __init__(self, profile: MarginalProfile, k: int, mempool: Mempool):
         # Segments labelled by mempool position, so selection needs no id lookup.
         self.sampler = SegmentSampler(replace(profile, ids=mempool.positions(profile.ids)), k)
-        self.ids = mempool.ids
         self.k = k
+
+    def tokens(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.random(n)  # one probe per block
 
     def positions(self, rs: np.ndarray) -> np.ndarray:
         return self.sampler.select_many(rs)
 
 
-class _UniformSource(_BlockSource):
-    """Each block is an independent uniform k-subset of the mempool."""
+class _UniformSource:
+    """Each block is an independent uniform k-subset of the mempool's m transactions."""
 
     def __init__(self, mempool: Mempool, k: int):
-        self.ids = mempool.ids
+        self.m = len(mempool)
         self.k = k
 
     def tokens(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # Selecting at once keeps k positions, not m keys, per block.
-        keys = rng.random((n, len(self.ids)))
+        keys = rng.random((n, self.m))
         return np.argpartition(keys, self.k - 1, axis=1)[:, : self.k]
 
     def positions(self, chosen: np.ndarray) -> np.ndarray:
         return chosen
-
-
-class _MixedSource(_BlockSource):
-    """Blocks from the atoms of an explicit mixed strategy."""
-
-    def __init__(self, strategy: MixedStrategy, mempool: Mempool):
-        self.cum = np.cumsum(strategy.atom_probs)
-        self.atoms = np.stack([mempool.positions(sorted(s)) for s in strategy.atom_txids])
-        self.ids = mempool.ids
-        self.k = strategy.k
-
-    def positions(self, rs: np.ndarray) -> np.ndarray:
-        idx = np.minimum(np.searchsorted(self.cum, rs, side="right"), len(self.atoms) - 1)
-        return self.atoms[idx]
 
 
 def _block_source(name: str, mempool: Mempool, params: GameParams):
@@ -127,22 +106,21 @@ def _block_source(name: str, mempool: Mempool, params: GameParams):
 
 def simulate_round(
     mempool: Mempool,
-    strategy,
+    profile: MarginalProfile,
     params: GameParams,
     rng: np.random.Generator,
     gamma: int | None = None,
 ) -> RoundOutcome:
-    """One latency window: gamma ~ Poisson(lambda) blocks drawn i.i.d.
+    """One latency window: gamma ~ Poisson(lambda) blocks drawn i.i.d. from the profile.
 
-    ``strategy`` is a MarginalProfile or a MixedStrategy. Pass ``gamma`` to
-    force the block count instead of sampling it. Duplication, throughput
-    and both revenue accountings count all of the round's blocks; a block's
-    miner is its index in ``blocks``.
+    Blocks come from the profile's segment sampler, whose distribution is
+    its ``corresponding_strategy``. Pass ``gamma`` to force the block count.
+    Duplication, throughput and both revenue accountings count all of the
+    round's blocks; a block's miner is its index in ``blocks``. As in
+    ``run_experiment``, a mempool whose sizes are not all 1 raises ValidationError.
     """
-    if isinstance(strategy, MarginalProfile):
-        source = _ProfileSource(strategy, params.block_size(len(mempool)), mempool)
-    else:
-        source = _MixedSource(strategy, mempool)
+    mempool.require_unit_size()
+    source = _ProfileSource(profile, params.block_size(len(mempool)), mempool)
     if gamma is None:
         gamma = int(rng.poisson(params.lam))
     pos = source.positions(source.tokens(rng, gamma))

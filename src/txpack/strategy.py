@@ -50,7 +50,6 @@ class MixedStrategy:
 
     atom_probs: np.ndarray
     atom_txids: tuple
-    k: int
     intervals: tuple  # (start, end) of each atom's r-interval
 
     @property
@@ -64,14 +63,6 @@ class MixedStrategy:
             for t in txids:
                 out[t] = out.get(t, 0.0) + float(prob)
         return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "atoms": [
-                {"p": float(p), "txids": sorted(int(t) for t in txids)}
-                for p, txids in zip(self.atom_probs, self.atom_txids)
-            ]
-        }
 
 
 class SegmentSampler:
@@ -122,7 +113,7 @@ def corresponding_strategy(profile: MarginalProfile, k: int) -> MixedStrategy:
     wide = np.diff(breaks) > 1e-12
     a, b = breaks[:-1][wide], breaks[1:][wide]
     atoms = sampler.select_many(0.5 * (a + b)).tolist()
-    return MixedStrategy(b - a, tuple(map(frozenset, atoms)), k, tuple(zip(a.tolist(), b.tolist())))
+    return MixedStrategy(b - a, tuple(map(frozenset, atoms)), tuple(zip(a.tolist(), b.tolist())))
 
 
 def sample_block(profile: MarginalProfile, r: float, k: int) -> Block:

@@ -162,8 +162,9 @@ def brute_force_check(
     """Enumerate every pure k-subset deviation against the profile.
 
     Utility is linear in own marginals, so no mixed deviation can beat the
-    best pure one. Limited to small instances (``brute_force_feasible``) by design.
+    best pure one. Unit sizes and small instances only (``brute_force_feasible``).
     """
+    mempool.require_unit_size()
     k = params.require_integer_k()
     m = len(mempool)
     if not brute_force_feasible(m, k):

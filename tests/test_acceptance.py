@@ -60,7 +60,7 @@ def test_c01_golden_instance_reproduction(golden_mempool, golden_params):
     raw = compute_phat(golden_mempool, golden_params)
     profile, elapsed = best_time(lambda: solve_equilibrium(golden_mempool, golden_params))
     ok = (
-        np.allclose(raw.values, GOLDEN_PHAT, atol=1e-9)
+        np.allclose(raw, GOLDEN_PHAT, atol=1e-9)
         and abs(profile.xhat - GOLDEN_XHAT) <= 1e-9
         and np.allclose(profile.values, GOLDEN_PROFILE, atol=1e-9)
         and elapsed < 1e-3
@@ -225,8 +225,8 @@ def test_c09_variable_size_suite():
         k = float(rng.uniform(0.1, 0.9)) * mp.total_size
         params = GameParams(k=k, lam=float(rng.uniform(0.2, 5)))
         raw = compute_phat_real(mp, params)
-        budget = abs(float(raw.values @ mp.sizes) - k) <= 1e-9 * max(1.0, k)
-        const = mp.prices * np.exp(-params.lam * raw.values)
+        budget = abs(float(raw @ mp.sizes) - k) <= 1e-9 * max(1.0, k)
+        const = mp.prices * np.exp(-params.lam * raw)
         flat = np.ptp(const) <= 1e-9 * const[0]
         identity_ok = identity_ok and budget and flat
 

@@ -217,13 +217,18 @@ def test_only_subcommands_that_read_a_flag_take_it(golden_mempool_file, argv, co
     ("simulate", "--trials", "10", "--strategies", "greedy"),
     ("simulate", "--trials", "10", "--strategies", "uniform-random-k"),
     ("simulate", "--trials", "10", "--strategies", "equilibrium"),
+    ("verify", "--profile", "profile.json"),
 ], ids=" ".join)
-def test_fixed_mode_refuses_sized_mempool(capsys, tmp_path, argv):
+def test_fixed_mode_refuses_sized_mempool(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "sized.json"
     path.write_text(json.dumps({"transactions": [
         {"id": i, "gas_price": v, "size": s}
         for i, v, s in [(10, 3.0, 1.0), (11, 2.5, 1.0), (12, 2.0, 2.5), (13, 1.5, 0.5), (14, 1.0, 1.0)]
     ]}))
+    # a profile of this mempool that variable mode accepts; fixed mode must still refuse the mempool
+    assert main(["equilibrium", "--mempool", str(path), "--k", "2", "--lambda", "1",
+                 "--mode", "variable", "--out", "profile.json"]) == 0
     cmd, *rest = argv
     rc, out, err = run_cli(capsys, cmd, "--mempool", str(path), "--k", "2", "--lambda", "1", *rest)
     assert rc == 1 and out == ""

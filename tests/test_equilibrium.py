@@ -20,7 +20,7 @@ from txpack import (
     solve_equilibrium,
     solve_xhat,
 )
-from txpack.equilibrium import RawMarginals, clamp_sum
+from txpack.equilibrium import clamp_sum
 
 from conftest import (
     GOLDEN_PHAT,
@@ -35,17 +35,17 @@ from conftest import (
 class TestComputePhat:
     def test_golden_values(self, golden_mempool, golden_params):
         raw = compute_phat(golden_mempool, golden_params)
-        assert raw.values == pytest.approx(GOLDEN_PHAT, abs=1e-9)
+        assert raw == pytest.approx(GOLDEN_PHAT, abs=1e-9)
 
     def test_equal_prices_symmetric(self):
         mp = Mempool([Transaction(i, 7.5) for i in range(5)])
         raw = compute_phat(mp, GameParams(k=2, lam=0.7))
-        assert raw.values == pytest.approx([0.4] * 5, abs=1e-12)
+        assert raw == pytest.approx([0.4] * 5, abs=1e-12)
 
     def test_single_transaction(self):
         mp = Mempool([Transaction(0, 3.0)])
         raw = compute_phat(mp, GameParams(k=1, lam=2.0))
-        assert raw.values[0] == pytest.approx(1.0)
+        assert raw[0] == pytest.approx(1.0)
 
     def test_zero_lambda_refused(self, golden_mempool):
         with pytest.raises(ZeroLatencyError, match="limit behavior"):
@@ -67,7 +67,7 @@ class TestComputePhat:
         k = int(rng.integers(1, len(mp) + 1))
         lam = float(rng.uniform(0.01, 10))
         raw = compute_phat(mp, GameParams(k=k, lam=lam))
-        assert raw.values.sum() == pytest.approx(k, abs=1e-9)
+        assert raw.sum() == pytest.approx(k, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_constant_product_identity(self, seed):
@@ -75,7 +75,7 @@ class TestComputePhat:
         mp = random_unit_mempool(rng, 50)
         params = GameParams(k=5, lam=float(rng.uniform(0.1, 4)))
         raw = compute_phat(mp, params)
-        const = mp.prices * np.exp(-params.lam * raw.values)
+        const = mp.prices * np.exp(-params.lam * raw)
         assert np.ptp(const) <= 1e-9 * const[0]
 
 
@@ -83,20 +83,20 @@ class TestComputePhatReal:
     def test_unit_sizes_reduce_to_phat(self, golden_mempool, golden_params):
         a = compute_phat(golden_mempool, golden_params)
         b = compute_phat_real(golden_mempool, golden_params)
-        assert b.values == pytest.approx(a.values, abs=1e-12)
+        assert b == pytest.approx(a, abs=1e-12)
 
     def test_two_transaction_hand_case(self):
         # Weighted mean log price is 2/3, so a lands exactly at 1 and b at 0;
         # the capacity identity gives 2*1 + 1*0 = k.
         mp = Mempool([Transaction(0, np.e, 2.0), Transaction(1, 1.0, 1.0)])
         raw = compute_phat_real(mp, GameParams(k=2, lam=1.0))
-        assert raw.values == pytest.approx([1.0, 0.0], abs=1e-12)
-        assert float(raw.values @ mp.sizes) == pytest.approx(2.0, abs=1e-12)
+        assert raw == pytest.approx([1.0, 0.0], abs=1e-12)
+        assert float(raw @ mp.sizes) == pytest.approx(2.0, abs=1e-12)
 
     def test_equal_prices(self):
         mp = Mempool([Transaction(i, 2.0, s) for i, s in enumerate([1.0, 2.0, 3.0])])
         raw = compute_phat_real(mp, GameParams(k=3, lam=1.0))
-        assert raw.values == pytest.approx([0.5] * 3, abs=1e-12)
+        assert raw == pytest.approx([0.5] * 3, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_weighted_budget_identity(self, seed):
@@ -104,7 +104,7 @@ class TestComputePhatReal:
         mp = random_sized_mempool(rng, rng.integers(2, 100))
         k = float(rng.uniform(0.1, mp.total_size))
         raw = compute_phat_real(mp, GameParams(k=k, lam=float(rng.uniform(0.1, 10))))
-        assert float(raw.values @ mp.sizes) == pytest.approx(k, abs=1e-9 * max(1, k))
+        assert float(raw @ mp.sizes) == pytest.approx(k, abs=1e-9 * max(1, k))
 
 
 class TestSolveXhat:
@@ -114,23 +114,23 @@ class TestSolveXhat:
         assert xhat == pytest.approx(GOLDEN_XHAT, abs=1e-9)
 
     def test_already_feasible_gives_zero(self):
-        raw = RawMarginals(np.arange(4), np.array([0.5, 0.25, 0.75, 0.5]))
+        raw = np.array([0.5, 0.25, 0.75, 0.5])
         xhat = solve_xhat(raw, np.ones(4), 2.0)
         assert xhat == pytest.approx(0.0, abs=1e-12)
 
     def test_plateau_returns_left_endpoint(self):
         # f(x) = 1 on all of [0.5, 1.5]; the smallest solution is 0.5 and
         # every solution clamps to the same profile (1, 0).
-        raw = RawMarginals(np.arange(2), np.array([2.5, 0.5]))
+        raw = np.array([2.5, 0.5])
         sizes = np.ones(2)
         xhat = solve_xhat(raw, sizes, 1.0)
         assert xhat == pytest.approx(0.5, abs=1e-12)
         grid = np.linspace(0.5, 1.5, 101)
-        assert all(clamp_sum(raw.values, sizes, x) == pytest.approx(1.0) for x in grid)
-        assert np.clip(raw.values - xhat, 0, 1) == pytest.approx([1.0, 0.0])
+        assert all(clamp_sum(raw, sizes, x) == pytest.approx(1.0) for x in grid)
+        assert np.clip(raw - xhat, 0, 1) == pytest.approx([1.0, 0.0])
 
     def test_undersized_mempool_signals(self):
-        raw = RawMarginals(np.arange(2), np.array([0.5, 0.5]))
+        raw = np.array([0.5, 0.5])
         with pytest.raises(MempoolFitsInBlock, match="package everything"):
             solve_xhat(raw, np.ones(2), 5.0)
 
@@ -142,8 +142,8 @@ class TestSolveXhat:
         k = float(rng.uniform(0.05, 0.95)) * mp.total_size
         raw = compute_phat_real(mp, GameParams(k=k, lam=float(rng.uniform(0.1, 10))))
         xhat = solve_xhat(raw, mp.sizes, k)
-        assert clamp_sum(raw.values, mp.sizes, xhat) == pytest.approx(k, rel=1e-9)
-        assert clamp_sum(raw.values, mp.sizes, xhat - 1e-6) >= k - 1e-12
+        assert clamp_sum(raw, mp.sizes, xhat) == pytest.approx(k, rel=1e-9)
+        assert clamp_sum(raw, mp.sizes, xhat - 1e-6) >= k - 1e-12
 
 
 class TestClampMarginals:
@@ -160,7 +160,7 @@ class TestClampMarginals:
         params = GameParams(k=2, lam=1.0)
         raw = compute_phat(mp, params)
         profile = clamp_marginals(raw, 0.0, mp, params)
-        assert profile.values == pytest.approx(raw.values, abs=1e-12)
+        assert profile.values == pytest.approx(raw, abs=1e-12)
 
     def test_threshold_cases_hold(self, golden_mempool, golden_params):
         profile = solve_equilibrium(golden_mempool, golden_params)

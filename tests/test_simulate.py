@@ -7,7 +7,6 @@ from txpack import (
     Mempool,
     Transaction,
     ValidationError,
-    corresponding_strategy,
     greedy_profile,
     measure_exclusion_frequency,
     run_experiment,
@@ -59,6 +58,15 @@ def test_revenue_conservation(golden_mempool, golden_params):
     for _ in range(100):
         outcome = simulate_round(golden_mempool, profile, golden_params, rng)
         assert sum(outcome.per_block_exclusive_revenue) <= outcome.chain_revenue + 1e-12
+
+
+def test_round_refuses_sized_mempool():
+    # as in run_experiment: a k-transaction block of this mempool can overflow capacity k
+    mp = Mempool([Transaction(i, v, s) for i, (v, s) in
+                  enumerate(zip([5.0, 4.0, 3.0, 2.0, 1.0], [1.5, 0.5, 1.0, 2.0, 0.7]))])
+    params = GameParams(k=3, lam=1.0)
+    with pytest.raises(ValidationError, match="fixed mode"):
+        simulate_round(mp, greedy_profile(mp, params), params, np.random.default_rng(0), gamma=1)
 
 
 def test_exclusion_frequency_tracks_closed_form(golden_mempool, golden_params):
@@ -145,7 +153,7 @@ def _reference_trial_outcomes(source, mempool, lam, seed, trials):
     for t in range(trials):
         rng = _trial_rng(seed, 0, t)
         gamma = int(rng.poisson(lam))
-        draws = source.ids[source.positions(source.tokens(rng, gamma + 1))]
+        draws = mempool.ids[source.positions(source.tokens(rng, gamma + 1))]
         focal, flat = draws[0], draws[1:].ravel()
         out[0, t] = fees[mempool.positions(focal[~np.isin(focal, flat)])].sum()
         if gamma:
@@ -185,19 +193,18 @@ def test_round_matches_dict_accounting():
     params = GameParams(k=6, lam=3.0)
     profile = solve_equilibrium(mempool, params)
     rng = np.random.default_rng(8)
-    for strategy in (profile, corresponding_strategy(profile, 6)):
-        for _ in range(30):
-            out = simulate_round(mempool, strategy, params, rng)
-            for b in out.blocks:
-                assert b.ids.dtype == np.int64 and np.all(np.diff(b.ids) > 0)
-                assert b.txids == frozenset(b.ids.tolist())
-            block_ids = np.array([sorted(b.txids) for b in out.blocks], dtype=np.int64).reshape(-1, 6)
-            per_block, dup, uniq, wasted, chain, used = _reference_round_metrics(mempool, block_ids)
-            assert out.per_block_exclusive_revenue == pytest.approx(per_block, rel=1e-13)
-            assert (out.duplicated_tx_count, out.unique_tx_count) == (dup, uniq)
-            assert out.wasted_capacity == pytest.approx(wasted, rel=1e-13)
-            assert out.chain_revenue == pytest.approx(chain, rel=1e-13)
-            assert [b.used_capacity for b in out.blocks] == pytest.approx(used, rel=1e-13)
+    for _ in range(60):
+        out = simulate_round(mempool, profile, params, rng)
+        for b in out.blocks:
+            assert b.ids.dtype == np.int64 and np.all(np.diff(b.ids) > 0)
+            assert b.txids == frozenset(b.ids.tolist())
+        block_ids = np.array([sorted(b.txids) for b in out.blocks], dtype=np.int64).reshape(-1, 6)
+        per_block, dup, uniq, wasted, chain, used = _reference_round_metrics(mempool, block_ids)
+        assert out.per_block_exclusive_revenue == pytest.approx(per_block, rel=1e-13)
+        assert (out.duplicated_tx_count, out.unique_tx_count) == (dup, uniq)
+        assert out.wasted_capacity == pytest.approx(wasted, rel=1e-13)
+        assert out.chain_revenue == pytest.approx(chain, rel=1e-13)
+        assert [b.used_capacity for b in out.blocks] == pytest.approx(used, rel=1e-13)
 
 
 def test_zero_trials_rejected(golden_mempool):

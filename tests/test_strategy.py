@@ -80,11 +80,6 @@ class TestCorrespondingStrategy:
         for txid, p in profile.as_dict().items():
             assert induced.get(txid, 0.0) == pytest.approx(p, abs=1e-12)
 
-    def test_serialization_schema(self):
-        strat = corresponding_strategy(profile_from([1, 0, 1]), 2)
-        doc = strat.to_json_dict()
-        assert doc == {"atoms": [{"p": 1.0, "txids": [1, 3]}]}
-
 
 class TestSampleBlock:
     def test_golden_probe(self, golden_mempool, golden_params):

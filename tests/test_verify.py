@@ -180,6 +180,15 @@ class TestBruteForce:
         params = GameParams(k=2, lam=1.0)
         assert brute_force_check(mp, params, uniform_profile(mp, params)).passes
 
+    def test_sized_mempool_refused(self):
+        # the enumeration takes unit-size k-subsets, so a size-3.2 block would count as a deviation
+        mp = Mempool([Transaction(i, v, s) for i, (v, s) in
+                      enumerate(zip([5.0, 4.0, 3.0, 2.0, 1.0], [1.5, 0.5, 1.0, 2.0, 0.7]))])
+        params = GameParams(k=3, lam=1.0)
+        profile = solve_equilibrium(mp, params, mode="variable")
+        with pytest.raises(ValidationError, match="fixed mode"):
+            brute_force_check(mp, params, profile)
+
     def test_instance_size_guard(self):
         mp = Mempool([Transaction(i, 1.0) for i in range(25)])
         with pytest.raises(ValidationError, match="too large"):

@@ -149,8 +149,8 @@ def _load_profile(path, mempool: Mempool) -> MarginalProfile:
 
 
 def cmd_equilibrium(args):
-    mempool, params = _load(args)
-    profile = solve_equilibrium(mempool, params, mode=args.mode)
+    # No name keeps the mempool (and its price-order table) alive through the emit.
+    profile = solve_equilibrium(*_load(args), mode=args.mode)
     _emit(profile.to_json_dict(), args.out)
 
 

@@ -100,42 +100,139 @@ def clamp_sum(values: np.ndarray, sizes: np.ndarray, x: float) -> float:
     return capacity(t, sizes)
 
 
-def solve_xhat(raw: np.ndarray, sizes: np.ndarray, k: float) -> float:
+def solve_xhat(raw: np.ndarray, mempool: Mempool, params: GameParams) -> float:
     """Smallest x with sum_tx min(max(p(tx)-x,0),1)*s(tx) = k.
 
-    The left side is continuous, non-increasing, and piecewise linear with
-    breakpoints at p(tx) and p(tx)-1; we bracket the crossing by binary
-    search over the sorted breakpoints and interpolate on the bracketed
-    linear segment. O(m log m) total.
+    The left side f is continuous, non-increasing, and piecewise linear with
+    breakpoints at p(tx) and p(tx)-1. ``raw`` must be compute_phat_real's
+    output for this mempool and params: it rises with the log price, so
+    ``mempool.price_order``, sorted once per mempool, orders both runs of
+    breakpoints, p and p-1, for every (k, lambda). A Newton search on the
+    table's prefix sums guesses the two breakpoints that bracket the
+    crossing; clamp_sum confirms them, searching outward only where rounding
+    misled the guess; and the root is interpolated on the bracketed linear
+    segment, bit for bit as a binary search over all sorted breakpoints
+    would find it. With the table built, a solve costs a few O(log m)
+    searches plus a constant number of O(m) passes.
     """
-    p = np.asarray(raw, dtype=np.float64)
-    sizes = np.asarray(sizes, dtype=np.float64)
-    total = float(sizes.sum())
+    k = params.k
+    sizes = mempool.sizes
+    total = mempool.total_size
     if total < k * (1.0 - BUDGET_RTOL):
         raise MempoolFitsInBlock(
             f"total capacity {total:g} < block capacity {k:g}; package everything"
         )
-    b = np.sort(np.concatenate([p, p - 1.0]))
-    # Left of b[0] every term clamps to 1, so f == total there; if total == k
-    # the equation holds on an unbounded interval and b[0] is the canonical
-    # leftmost finite answer.
-    if clamp_sum(p, sizes, b[0]) <= k:
-        return float(b[0])
-    lo, hi = 0, len(b) - 1  # f(b[lo]) > k, f(b[hi]) = 0 <= k
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if clamp_sum(p, sizes, b[mid]) > k:
-            lo = mid
-        else:
-            hi = mid
-    left, right = float(b[lo]), float(b[hi])
-    f_left = clamp_sum(p, sizes, left)
+    order = mempool.price_order[0]
+    f_at = {}
+
+    def above(x: float) -> bool:
+        if x not in f_at:
+            f_at[x] = clamp_sum(raw, sizes, x)
+        return f_at[x] > k
+
+    last = _model_guess(mempool, params)
+    left, right = _bracket(raw, order, last)
+    if (left is not None and not above(left)) or above(right):
+        # The guess was off; f is monotone, so each run's crossing is found exactly.
+        last = [_last_above(raw, order, r, i, above) for r, i in enumerate(last)]
+        left, right = _bracket(raw, order, last)
+    if left is None:
+        # f(min(p)-1) <= k: every term clamps to about 1 there, so the
+        # equation holds on an unbounded interval and the smallest breakpoint
+        # is the canonical leftmost finite answer.
+        return right
+    f_left = f_at[left]
     pos = 0.5 * (left + right)
-    slope = -float(sizes[(p > pos) & (p < pos + 1.0)].sum())
+    if mempool.is_unit_size:  # a sum of ones is the count, in any order
+        inside = np.searchsorted(raw, pos + 1.0, "left", sorter=order)
+        inside -= np.searchsorted(raw, pos, "right", sorter=order)
+        slope = -float(max(inside, 0))  # pos + 1.0 == pos once |pos| >= 2**53
+    else:
+        slope = -float(sizes[(raw > pos) & (raw < pos + 1.0)].sum())
     if slope == 0.0:
         # Degenerate flat bracket; only reachable through rounding noise.
         return right if f_left > k else left
     return left + (k - f_left) / slope
+
+
+def _model_guess(mempool: Mempool, params: GameParams) -> list:
+    """Per run, a guess at the last index whose breakpoint has f above k, or -1.
+
+    With y the log price whose raw marginal is the shift, the model reads f
+    from the price-order table: terms whose log price is below y clamp to 0,
+    those from y + lambda up clamp to 1, and the rest are interior. It is
+    piecewise linear in y, with the breakpoints of f, and equals clamp_sum's
+    value up to rounding. Newton's method from the shift 0 finds the piece
+    holding the model's root, bisecting the bracket whenever a step would
+    leave it.
+    """
+    order, size_sums, log_sums = mempool.price_order
+    log_prices, k, lam = mempool.log_prices, params.k, params.lam
+    m = len(order)
+    total = size_sums[m]
+    if total <= k:
+        return [-1, -1]
+    # The model is total below every breakpoint and 0 at the top one.
+    lo, hi = log_prices[order[0]] - lam - 1.0, log_prices[order[m - 1]]
+    y = mempool.mean_log_price - lam * k / mempool.total_size  # shift 0: exact if nothing clamps
+    if not lo < y < hi:
+        y = 0.5 * (lo + hi)
+    newton_piece = None
+    for _ in range(_MAX_STEPS):
+        piece = log_prices.searchsorted((y, y + lam), sorter=order).tolist()
+        if piece == newton_piece:  # the Newton step stayed in its piece, so y is the root
+            break
+        zero, one = piece
+        inner = size_sums[one] - size_sums[zero]
+        value = total - size_sums[one] + (log_sums[one] - log_sums[zero] - inner * y) / lam
+        if value > k:
+            lo = y
+        else:
+            hi = y
+        newton_piece = piece
+        y = y + (value - k) * lam / inner if inner > 0 else hi
+        if not lo < y < hi:
+            newton_piece = None
+            y = 0.5 * (lo + hi)
+            if not lo < y < hi:
+                break
+    return [piece[0] - 1, piece[1] - 1]
+
+
+_MAX_STEPS = 64  # model evaluations before the exact search takes over from the guess
+
+
+def _bracket(raw, order, last) -> tuple:
+    """(left, right): the larger of the runs' breakpoints at ``last``, and the smaller after it.
+
+    Run r holds the breakpoints p - r in ascending order. ``last[r]`` is -1
+    where a run has no such breakpoint; left is None when neither has one.
+    """
+    lefts = [raw[order[i]] - r for r, i in enumerate(last) if i >= 0]
+    rights = [raw[order[i + 1]] - r for r, i in enumerate(last) if i + 1 < len(order)]
+    return (float(max(lefts)) if lefts else None), float(min(rights))
+
+
+def _last_above(raw, order, r, i, above) -> int:
+    """The last index j of run r with above(p[order[j]] - r), or -1, searched outward from i."""
+    m = len(order)
+
+    def at(j: int) -> bool:
+        return above(float(raw[order[j]] - r))
+
+    lo, hi, step = i, i + 1, 1  # want lo == -1 or at(lo), and hi == m or not at(hi)
+    while lo >= 0 and not at(lo):
+        lo, hi, step = lo - step, lo, 2 * step
+    while hi < m and at(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    lo, hi = max(lo, -1), min(hi, m)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if at(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def threshold(xhat: float, mempool: Mempool, params: GameParams) -> float:
@@ -179,5 +276,5 @@ def solve_equilibrium(mempool: Mempool, params: GameParams, mode: str = "fixed")
         xhat = float(raw.min() - 1.0)
         w = threshold(xhat, mempool, params)
         return MarginalProfile(mempool.ids, np.ones(len(mempool)), xhat, w)
-    xhat = solve_xhat(raw, mempool.sizes, params.k)
+    xhat = solve_xhat(raw, mempool, params)
     return clamp_marginals(raw, xhat, mempool, params)

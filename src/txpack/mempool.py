@@ -115,6 +115,22 @@ class Mempool:
             )
 
     @cached_property
+    def price_order(self) -> tuple:
+        """The solver's table, built once: (order, size_sums, log_sums).
+
+        ``order`` sorts the log prices ascending, ties in any order.
+        ``size_sums[j]`` and ``log_sums[j]`` sum s and s*ln v over the first j
+        transactions in that order. A raw marginal rises with ln v whatever
+        (k, lambda) are, so this one sort orders all of them.
+        """
+        order = np.argsort(self.log_prices)
+        s = self.sizes[order]
+        size_sums, log_sums = np.zeros(len(self) + 1), np.zeros(len(self) + 1)
+        np.cumsum(s, out=size_sums[1:])
+        np.cumsum(s * self.log_prices[order], out=log_sums[1:])
+        return order, size_sums, log_sums
+
+    @cached_property
     def _id_order(self) -> np.ndarray:
         return np.argsort(self.ids)
 

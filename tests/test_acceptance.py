@@ -202,19 +202,30 @@ def test_c07_base_fee_classification(golden_mempool, golden_params):
 
 
 def test_c08_solver_scaling():
+    # The first call on a fresh mempool sorts it for the price-order table;
+    # later calls reuse the table. Both must scale as m log m. Each size gets
+    # the same number of solved transactions, so the best-of at small m is
+    # taken over as long a stretch of time as at large m.
     rng = np.random.default_rng(99)
-    coeffs = {}
-    times = {}
+    times = {"first": {}, "cached": {}}
     for m in (10_000, 100_000, 1_000_000):
-        mp = Mempool.from_arrays(np.arange(m), np.exp(rng.uniform(-3, 3, m)))
+        ids, prices = np.arange(m), np.exp(rng.uniform(-3, 3, m))
         params = GameParams(k=m // 10, lam=1.0)
-        _, elapsed = best_time(lambda: solve_equilibrium(mp, params), repeats=5)
-        times[m] = elapsed
-        coeffs[m] = elapsed / (m * np.log(m))
-    spread = max(coeffs.values()) / min(coeffs.values())
-    ok = times[1_000_000] < 5.0 and spread <= 2.0
-    report("8 m log m scaling to |M|=1e6", ok,
-           f"t(1e6)={times[1_000_000]*1e3:.0f}ms c-spread={spread:.2f}x")
+        repeats = 5_000_000 // m
+        first = float("inf")
+        for _ in range(repeats):
+            mp = Mempool.from_arrays(ids, prices)
+            first = min(first, best_time(lambda: solve_equilibrium(mp, params), repeats=1)[1])
+        times["first"][m] = first
+        # The last mempool's table was built by its first call above.
+        times["cached"][m] = best_time(lambda: solve_equilibrium(mp, params), repeats=repeats)[1]
+    details, ok = [], True
+    for name, t in times.items():
+        coeffs = [t[m] / (m * np.log(m)) for m in t]
+        spread = max(coeffs) / min(coeffs)
+        ok = ok and t[1_000_000] < 5.0 and spread <= 2.0
+        details.append(f"{name}: t(1e6)={t[1_000_000]*1e3:.0f}ms c-spread={spread:.2f}x")
+    report("8 m log m scaling to |M|=1e6", ok, "; ".join(details))
 
 
 def test_c09_variable_size_suite():

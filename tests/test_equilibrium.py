@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import txpack
 from txpack import (
@@ -20,7 +22,7 @@ from txpack import (
     solve_equilibrium,
     solve_xhat,
 )
-from txpack.equilibrium import clamp_sum
+from txpack.equilibrium import BUDGET_RTOL, clamp_sum
 
 from conftest import (
     GOLDEN_PHAT,
@@ -107,32 +109,89 @@ class TestComputePhatReal:
         assert float(raw @ mp.sizes) == pytest.approx(k, abs=1e-9 * max(1, k))
 
 
+def _reference_solve_xhat(raw, sizes, k) -> float:
+    """The sort-per-solve binary search the price-order table replaced, kept as its reference."""
+    p = np.asarray(raw, dtype=np.float64)
+    sizes = np.asarray(sizes, dtype=np.float64)
+    total = float(sizes.sum())
+    if total < k * (1.0 - BUDGET_RTOL):
+        raise MempoolFitsInBlock(
+            f"total capacity {total:g} < block capacity {k:g}; package everything"
+        )
+    b = np.sort(np.concatenate([p, p - 1.0]))
+    if clamp_sum(p, sizes, b[0]) <= k:
+        return float(b[0])
+    lo, hi = 0, len(b) - 1  # f(b[lo]) > k, f(b[hi]) = 0 <= k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if clamp_sum(p, sizes, b[mid]) > k:
+            lo = mid
+        else:
+            hi = mid
+    left, right = float(b[lo]), float(b[hi])
+    f_left = clamp_sum(p, sizes, left)
+    pos = 0.5 * (left + right)
+    slope = -float(sizes[(p > pos) & (p < pos + 1.0)].sum())
+    if slope == 0.0:
+        return right if f_left > k else left
+    return left + (k - f_left) / slope
+
+
+def _solve_both(mempool, params):
+    """(solve_xhat, reference) on compute_phat_real's marginals; bits, or the exception type."""
+    raw = compute_phat_real(mempool, params)
+    out = []
+    for solve in (lambda: solve_xhat(raw, mempool, params),
+                  lambda: _reference_solve_xhat(raw, mempool.sizes, params.k)):
+        try:
+            out.append(np.float64(solve()).tobytes())
+        except MempoolFitsInBlock as e:
+            out.append(type(e))
+    return out
+
+
+def _log_price_mempool(log_prices):
+    """A unit-size mempool with these log prices."""
+    return Mempool.from_arrays(np.arange(len(log_prices)), np.exp(log_prices))
+
+
 class TestSolveXhat:
     def test_golden_xhat(self, golden_mempool, golden_params):
         raw = compute_phat(golden_mempool, golden_params)
-        xhat = solve_xhat(raw, golden_mempool.sizes, 3)
+        xhat = solve_xhat(raw, golden_mempool, golden_params)
         assert xhat == pytest.approx(GOLDEN_XHAT, abs=1e-9)
+        assert xhat == _reference_solve_xhat(raw, golden_mempool.sizes, 3)
 
     def test_already_feasible_gives_zero(self):
-        raw = np.array([0.5, 0.25, 0.75, 0.5])
-        xhat = solve_xhat(raw, np.ones(4), 2.0)
+        # Raw marginals about (0.5, 0.25, 0.75, 0.5): all in [0, 1] and summing to k.
+        mp = _log_price_mempool([0.0, -0.25, 0.25, 0.0])
+        params = GameParams(k=2, lam=1.0)
+        raw = compute_phat(mp, params)
+        xhat = solve_xhat(raw, mp, params)
         assert xhat == pytest.approx(0.0, abs=1e-12)
+        assert xhat == _reference_solve_xhat(raw, mp.sizes, 2)
 
     def test_plateau_returns_left_endpoint(self):
-        # f(x) = 1 on all of [0.5, 1.5]; the smallest solution is 0.5 and
-        # every solution clamps to the same profile (1, 0).
-        raw = np.array([2.5, 0.5])
-        sizes = np.ones(2)
-        xhat = solve_xhat(raw, sizes, 1.0)
-        assert xhat == pytest.approx(0.5, abs=1e-12)
-        grid = np.linspace(0.5, 1.5, 101)
-        assert all(clamp_sum(raw, sizes, x) == pytest.approx(1.0) for x in grid)
+        # Raw marginals (1.5, -0.5): f(x) = 1 on all of [-0.5, 0.5]; the
+        # smallest solution is -0.5 and every solution clamps to (1, 0).
+        mp = _log_price_mempool([1.0, -1.0])
+        params = GameParams(k=1, lam=1.0)
+        raw = compute_phat(mp, params)
+        assert raw == pytest.approx([1.5, -0.5], abs=1e-12)
+        xhat = solve_xhat(raw, mp, params)
+        assert xhat == pytest.approx(-0.5, abs=1e-12)
+        assert xhat == _reference_solve_xhat(raw, mp.sizes, 1)
+        grid = np.linspace(-0.5, 0.5, 101)
+        assert all(clamp_sum(raw, mp.sizes, x) == pytest.approx(1.0) for x in grid)
         assert np.clip(raw - xhat, 0, 1) == pytest.approx([1.0, 0.0])
 
     def test_undersized_mempool_signals(self):
-        raw = np.array([0.5, 0.5])
+        mp = _log_price_mempool([0.0, 0.0])
+        params = GameParams(k=5, lam=1.0)
+        raw = compute_phat_real(mp, params)
         with pytest.raises(MempoolFitsInBlock, match="package everything"):
-            solve_xhat(raw, np.ones(2), 5.0)
+            solve_xhat(raw, mp, params)
+        assert _solve_both(mp, params) == [MempoolFitsInBlock] * 2
 
     @pytest.mark.parametrize("seed", range(8))
     def test_smallest_solution_property(self, seed):
@@ -140,10 +199,68 @@ class TestSolveXhat:
         m = int(rng.integers(2, 150))
         mp = random_sized_mempool(rng, m) if seed % 2 else random_unit_mempool(rng, m)
         k = float(rng.uniform(0.05, 0.95)) * mp.total_size
-        raw = compute_phat_real(mp, GameParams(k=k, lam=float(rng.uniform(0.1, 10))))
-        xhat = solve_xhat(raw, mp.sizes, k)
+        params = GameParams(k=k, lam=float(rng.uniform(0.1, 10)))
+        raw = compute_phat_real(mp, params)
+        xhat = solve_xhat(raw, mp, params)
         assert clamp_sum(raw, mp.sizes, xhat) == pytest.approx(k, rel=1e-9)
         assert clamp_sum(raw, mp.sizes, xhat - 1e-6) >= k - 1e-12
+        assert xhat == _reference_solve_xhat(raw, mp.sizes, k)
+
+    def test_unit_slope_where_one_is_below_an_ulp(self):
+        # lambda = 1e-17 puts the raw marginals near +-1e17, where p - 1 == p.
+        # The bracket is two adjacent floats, so its midpoint is one of them.
+        mp = Mempool.from_arrays(
+            np.arange(3), [1.6487212707001282, 1.6487212707001284, 0.36787944117144233]
+        )
+        params = GameParams(k=0.5, lam=1e-17)
+        raw = compute_phat_real(mp, params)
+        assert raw[0] + 1.0 == raw[0] and raw[0] != raw[1]
+        got, want = _solve_both(mp, params)
+        assert got == want
+
+    def test_table_is_built_once(self, golden_mempool):
+        assert golden_mempool.price_order is golden_mempool.price_order
+
+
+@st.composite
+def _solver_instances(draw):
+    """(mempool, params) with tied and spread log prices, unit or widely spread sizes,
+    lambda in [1e-3, 1e3], and k anywhere up to an ulp either side of the total size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 3000))
+    prices = draw(st.sampled_from(["spread", "integer", "few"]))
+    if prices == "spread":
+        log_prices = rng.uniform(-3, 3, m)
+    elif prices == "integer":
+        log_prices = rng.integers(-3, 4, m).astype(float)
+    else:
+        log_prices = rng.choice(rng.uniform(-3, 3, draw(st.integers(1, 5))), m)
+    sizes = None if draw(st.booleans()) else np.exp(rng.uniform(np.log(1e-6), np.log(1e6), m))
+    mp = Mempool.from_arrays(np.arange(m), np.exp(log_prices), sizes)
+    lam = float(np.exp(draw(st.floats(np.log(1e-3), np.log(1e3)))))
+    total = mp.total_size
+    k = draw(st.one_of(
+        st.floats(1e-3, 0.999).map(lambda share: share * total),
+        st.sampled_from([np.nextafter(total, 0.0), total, np.nextafter(total, np.inf)]),
+    ))
+    return mp, GameParams(k=float(k), lam=lam)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_solver_instances())
+def test_xhat_bits_match_reference(instance):
+    mempool, params = instance
+    got, want = _solve_both(mempool, params)
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_solver_instances())
+def test_raw_marginals_follow_price_order(instance):
+    """The table's invariant: one sort by log price orders the raw marginals for every (k, lambda)."""
+    mempool, params = instance
+    order = mempool.price_order[0]
+    assert np.all(np.diff(compute_phat_real(mempool, params)[order]) >= 0.0)
 
 
 class TestClampMarginals:

@@ -2,8 +2,9 @@
 
 All numeric JSON output is printed with 12 significant digits, and any
 invocation repeated with identical flags and seed produces byte-identical
-output. Exit codes: 0 success, 1 validation error, 2 usage error,
-3 internal invariant violation.
+output. The writer renders declared ``Rows`` (the equilibrium marginals) and
+lists of scalars with one format template per element. Exit codes: 0 success,
+1 validation error, 2 usage error, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -12,16 +13,16 @@ import argparse
 import itertools
 import json
 import math
-import operator
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from .equilibrium import MarginalProfile, solve_equilibrium
 from .errors import InvariantViolation, TxpackError, ValidationError
 from .fees import base_fee
-from .mempool import GameParams, Mempool, load_mempool_file
+from .mempool import GameParams, Mempool, load_mempool_file, number_column
 from .simulate import run_experiment
 from .strategy import rejection_sample_block, sample_block
 from .verify import brute_force_check, brute_force_feasible, verify_equilibrium
@@ -48,30 +49,29 @@ def _column(values: list):
     return "{}", list(map(_scalar, values))
 
 
-def _row_template(items: list, pad: str):
+@dataclass(frozen=True)
+class Rows:
+    """Records as scalar columns, written as objects {keys[j]: columns[j][i]}; no key has braces."""
+
+    keys: tuple
+    columns: tuple
+
+    def __len__(self):
+        return len(self.columns[0])
+
+
+def _row_template(items, pad: str):
     """One format template per element and its argument columns, or None.
 
-    Applies to a list of scalars, and to a list of dicts that share one key
-    order and hold only scalars; anything else goes through the general walk.
+    Applies to Rows and to a list of scalars; anything else goes through
+    the general walk.
     """
-    first = items[0]
-    if not isinstance(first, dict):
-        col = _column(items)
-        return None if col is None else (pad + col[0], [col[1]])
-    keys = tuple(first)
-    if not keys or set(map(type, keys)) != {str} or set(map(type, items)) != {dict}:
-        return None  # a non-str key may equal another key with a different str()
-    if not all(map(keys.__eq__, map(tuple, items))):
-        return None
-    fields, columns = [], []
-    for key in keys:
-        col = _column(list(map(operator.itemgetter(key), items)))
-        if col is None:
-            return None
-        name = json.dumps(str(key)).replace("{", "{{").replace("}", "}}")
-        fields.append(f"{pad}  {name}: {col[0]}")
-        columns.append(col[1])
-    return pad + "{{\n" + ",\n".join(fields) + "\n" + pad + "}}", columns
+    if isinstance(items, Rows):
+        cols = list(map(_column, items.columns))
+        fields = [f"{pad}  {json.dumps(key)}: {fmt}" for key, (fmt, _) in zip(items.keys, cols)]
+        return pad + "{{\n" + ",\n".join(fields) + "\n" + pad + "}}", [c for _, c in cols]
+    col = _column(items)
+    return None if col is None else (pad + col[0], [col[1]])
 
 
 def _write(obj, out: list, pad: str):
@@ -85,7 +85,7 @@ def _write(obj, out: list, pad: str):
             _write(v, out, inner)
             sep = ",\n" + inner
         out.append("\n" + pad + "}")
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (Rows, list, tuple)):
         if not obj:
             out.append("[]")
             return
@@ -138,20 +138,36 @@ def _load(args):
 
 
 def _load_profile(path, mempool: Mempool) -> MarginalProfile:
+    """The profile file as a profile in mempool order; a malformed one raises ValidationError."""
     with open(path) as fh:
-        doc = json.load(fh)
-    pos = mempool.positions([rec["id"] for rec in doc["marginals"]])
+        try:
+            doc = json.load(fh)
+        except ValueError as e:  # bad UTF-8 or JSON, or an int literal past the digit limit
+            raise ValidationError(f"malformed profile JSON: {e}") from e
+    if not (isinstance(doc, dict) and isinstance(doc.get("marginals"), list)):
+        raise ValidationError('profile JSON must be an object with a "marginals" array')
+    try:
+        ids = [rec["id"] for rec in doc["marginals"]]
+        ps = [rec["p"] for rec in doc["marginals"]]
+    except (TypeError, KeyError) as e:
+        raise ValidationError(f'every marginal record needs "id" and "p": {e!r}') from e
+    pos = mempool.positions(ids)
     if not np.array_equal(np.sort(pos), np.arange(len(mempool))):
         raise ValidationError("profile must list every mempool transaction id exactly once")
     values = np.empty(len(mempool))
-    values[pos] = np.array([rec["p"] for rec in doc["marginals"]], dtype=np.float64)
-    return MarginalProfile(mempool.ids, values, doc.get("xhat", 0.0), doc.get("w"))
+    values[pos] = number_column(ps, mempool.ids[pos], "p")
+    xhat, w = doc.get("xhat", 0.0), doc.get("w")
+    for key, v in (("xhat", xhat), ("w", w)):
+        if v is not None and not (type(v) in (int, float) and math.isfinite(v)):
+            raise ValidationError(f'profile "{key}" must be a finite number or null, got {v!r}')
+    return MarginalProfile(mempool.ids, values, xhat, w)
 
 
 def cmd_equilibrium(args):
     # No name keeps the mempool (and its price-order table) alive through the emit.
     profile = solve_equilibrium(*_load(args), mode=args.mode)
-    _emit(profile.to_json_dict(), args.out)
+    marginals = Rows(("id", "p"), (profile.ids.tolist(), profile.values.tolist()))
+    _emit({"marginals": marginals, "xhat": profile.xhat, "w": profile.w}, args.out)
 
 
 def cmd_sample(args):
@@ -270,7 +286,7 @@ def main(argv=None) -> int:
     except InvariantViolation as e:
         print(f"invariant violation: {e}", file=sys.stderr)
         return 3
-    except (TxpackError, OSError, KeyError, json.JSONDecodeError) as e:
+    except (TxpackError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

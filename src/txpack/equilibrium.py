@@ -38,10 +38,10 @@ class MarginalProfile:
         return {int(i): float(v) for i, v in zip(self.ids, self.values)}
 
     def values_for(self, mempool: Mempool) -> np.ndarray:
-        """The marginals in mempool order; the profile must list the mempool's ids in its order."""
+        """The checked marginals in mempool order; the profile must list the mempool's ids."""
         if len(self.ids) != len(mempool) or not np.array_equal(self.ids, mempool.ids):
             raise ValidationError("profile does not match the mempool")
-        return np.asarray(self.values, dtype=np.float64)
+        return check_marginals(np.asarray(self.values, dtype=np.float64), "profile marginals")
 
     def probability(self, txid: int) -> float:
         idx = np.nonzero(self.ids == txid)[0]
@@ -49,14 +49,12 @@ class MarginalProfile:
             raise KeyError(txid)
         return float(self.values[idx[0]])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "marginals": [
-                {"id": i, "p": v} for i, v in zip(self.ids.tolist(), self.values.tolist())
-            ],
-            "xhat": float(self.xhat),
-            "w": None if self.w is None else float(self.w),
-        }
+
+def check_marginals(values: np.ndarray, what: str) -> np.ndarray:
+    """values, unless one lies outside [0, 1 + 1e-12]: then ValidationError (NaN fails too)."""
+    if len(values) and not 0.0 <= values.min() <= values.max() <= 1.0 + 1e-12:
+        raise ValidationError(f"{what} must lie in [0, 1]")
+    return values
 
 
 def check_solver_inputs(mempool: Mempool, params: GameParams):

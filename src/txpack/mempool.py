@@ -3,9 +3,10 @@
 Wire format: ``{"transactions": [{"id": int, "gas_price": num, "size": num}, ...]}``
 with ``size`` defaulting to 1.0. Input order is preserved and acts as the
 canonical tie-break order everywhere else in the package. Every constructor
-applies one rule set: ids are unique, non-negative, non-boolean integers;
-``gas_price`` and ``size`` are finite and > 0. A violation raises
-ValidationError naming the offending id.
+applies one rule set: ids are unique, non-negative, non-boolean 64-bit
+integers; ``gas_price`` and ``size`` are ints or floats (not booleans or
+strings), finite and > 0. A violation raises ValidationError naming the
+offending id.
 """
 
 from __future__ import annotations
@@ -20,19 +21,47 @@ import numpy as np
 from .errors import ValidationError
 
 
+def _first_of_wrong_type(values: list, allowed: tuple):
+    """Index of the first value that is a bool or of a type outside ``allowed``, or None."""
+    # Checking the distinct types keeps the all-valid case at C speed.
+    bad = {t for t in set(map(type, values)) if t is bool or not issubclass(t, allowed)}
+    return next(i for i, v in enumerate(values) if type(v) in bad) if bad else None
+
+
 def _id_column(ids) -> np.ndarray:
     """Ids as an int64 array; each must be a non-negative, non-boolean integer."""
     if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu"):
         ids = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
-        # Checking the distinct types keeps the all-int case at C speed.
-        bad = {t for t in set(map(type, ids)) if t is bool or not issubclass(t, (int, np.integer))}
-        if bad:
-            bad_id = next(i for i in ids if type(i) in bad)
-            raise ValidationError(f"transaction id must be a non-negative integer, got {bad_id!r}")
-    col = np.asarray(ids, dtype=np.int64)
+        i = _first_of_wrong_type(ids, (int, np.integer))
+        if i is not None:
+            raise ValidationError(f"transaction id must be a non-negative integer, got {ids[i]!r}")
+    try:
+        col = np.asarray(ids, dtype=np.int64)
+    except OverflowError:
+        big = max(ids, key=abs)
+        raise ValidationError(f"transaction id must fit in 64 bits, got {big!r}") from None
     if (col < 0).any():
         raise ValidationError(f"transaction id must be a non-negative integer, got {col[col < 0][0]}")
     return col
+
+
+def number_column(values, ids: np.ndarray, name: str) -> np.ndarray:
+    """Numbers as float64; a bool, non-number or overflow raises ValidationError naming its id."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return np.asarray(values, dtype=np.float64)
+    if not isinstance(values, list):
+        values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    i = _first_of_wrong_type(values, (int, float, np.integer, np.floating))
+    if i is None:
+        try:
+            return np.asarray(values, dtype=np.float64)
+        except OverflowError:  # an int beyond the float range
+            i = max(range(len(values)), key=lambda j: abs(values[j]))
+            problem = "must be finite"
+    else:
+        problem = f"must be a number, got {values[i]!r}"
+    where = f"transaction {ids[i]}" if i < len(ids) else f"position {i}"
+    raise ValidationError(f"{where}: {name} {problem}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +101,8 @@ class Mempool:
     def _set_columns(self, ids, gas_prices, sizes):
         """The one initialiser and validator behind every constructor."""
         ids = _id_column(ids)
-        prices = np.asarray(gas_prices, dtype=np.float64)
-        sizes = np.ones(len(ids)) if sizes is None else np.asarray(sizes, dtype=np.float64)
+        prices = number_column(gas_prices, ids, "gas_price")
+        sizes = np.ones(len(ids)) if sizes is None else number_column(sizes, ids, "size")
         if not (ids.ndim == 1 and ids.shape == prices.shape == sizes.shape):
             raise ValidationError("ids, gas prices and sizes must be 1-D arrays of equal length")
         for name, col in (("gas_price", prices), ("size", sizes)):
@@ -207,11 +236,11 @@ def load_mempool(source) -> Mempool:
         raw = source.read()
     else:
         raw = source
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
     try:
+        if isinstance(raw, bytes):
+            raw = raw.decode("utf-8")
         doc = json.loads(raw)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad UTF-8 or JSON, or an int literal past the digit limit
         raise ValidationError(f"malformed mempool JSON: {e}") from e
     if not isinstance(doc, dict) or "transactions" not in doc:
         raise ValidationError('mempool JSON must be an object with a "transactions" array')

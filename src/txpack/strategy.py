@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .equilibrium import MarginalProfile, capacity
+from .equilibrium import MarginalProfile, capacity, check_marginals
 from .errors import RejectionBudgetExceeded, ValidationError
 from .mempool import Mempool
 
@@ -71,10 +71,9 @@ class SegmentSampler:
     def __init__(self, profile: MarginalProfile, k: int):
         values = np.asarray(profile.values, dtype=np.float64)
         total = float(values.sum())
-        if abs(total - k) > _SUM_TOL * max(1.0, k):
+        if not abs(total - k) <= _SUM_TOL * max(1.0, k):  # NaN fails too
             raise ValidationError(f"profile marginals sum to {total!r}, expected {k}")
-        if np.any(values < 0) or np.any(values > 1 + 1e-12):
-            raise ValidationError("profile marginals must lie in [0, 1]")
+        check_marginals(values, "profile marginals")
         nz = values > 0.0
         self.k = k
         self.ids = profile.ids[nz]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import MarginalProfile
+from .equilibrium import MarginalProfile, check_marginals
 from .errors import ValidationError
 from .mempool import GameParams, Mempool
 
@@ -56,12 +56,13 @@ class EquilibriumVerdict:
 
 
 def _own_vector(own, mempool: Mempool) -> np.ndarray:
-    """Marginals in mempool order from a profile, a mapping or a pure id-set (absent ids: 0)."""
+    """Checked marginals in mempool order from a profile, a mapping or an id-set (absent ids: 0)."""
     if isinstance(own, MarginalProfile):
         return own.values_for(mempool)
     p = np.zeros(len(mempool))
     if isinstance(own, dict):
         p[mempool.positions(own.keys())] = np.fromiter(own.values(), np.float64, len(own))
+        check_marginals(p, "own marginals")
     else:
         p[mempool.positions(own)] = 1.0
     return p
@@ -75,8 +76,6 @@ def discounted_prices(others: MarginalProfile, mempool: Mempool, params: GamePar
 
 def expected_utility(own, others: MarginalProfile, mempool: Mempool, params: GameParams) -> UtilityReport:
     p_own = _own_vector(own, mempool)
-    if np.any(p_own < 0) or np.any(p_own > 1 + 1e-12):
-        raise ValidationError("own marginals must lie in [0, 1]")
     contributions = p_own * mempool.sizes * discounted_prices(others, mempool, params)
     return UtilityReport(float(np.sum(contributions)), mempool.ids, contributions)
 
@@ -156,13 +155,17 @@ def brute_force_feasible(m: int, k: int) -> bool:
     return m <= 20 and math.comb(m, min(k, m)) <= 1_000_000
 
 
+BRUTE_FORCE_TOL = 1e-8  # the largest utility gain a passing profile allows
+
+
 def brute_force_check(
-    mempool: Mempool, params: GameParams, profile: MarginalProfile, tol: float = 1e-8
+    mempool: Mempool, params: GameParams, profile: MarginalProfile
 ) -> EquilibriumVerdict:
     """Enumerate every pure k-subset deviation against the profile.
 
     Utility is linear in own marginals, so no mixed deviation can beat the
-    best pure one. Unit sizes and small instances only (``brute_force_feasible``).
+    best pure one; a gain above BRUTE_FORCE_TOL fails. Unit sizes and small
+    instances only (``brute_force_feasible``).
     """
     mempool.require_unit_size()
     k = params.require_integer_k()
@@ -179,7 +182,7 @@ def brute_force_check(
         if u - sym > best_gain:
             best_gain = u - sym
             best_set = combo
-    passes = best_gain <= tol
+    passes = best_gain <= BRUTE_FORCE_TOL
     witness = None
     if not passes:
         witness = {

@@ -92,10 +92,10 @@ def test_c03_nash_verification(golden_mempool, golden_params):
     t0 = time.perf_counter()
     profile = solve_equilibrium(golden_mempool, golden_params)
     ve = verify_equilibrium(profile, golden_mempool, golden_params, tol=1e-9)
-    bf = brute_force_check(golden_mempool, golden_params, profile, tol=1e-8)
+    bf = brute_force_check(golden_mempool, golden_params, profile)
     greedy = greedy_profile(golden_mempool, golden_params)
     ve_g = verify_equilibrium(greedy, golden_mempool, golden_params, tol=1e-9)
-    bf_g = brute_force_check(golden_mempool, golden_params, greedy, tol=1e-8)
+    bf_g = brute_force_check(golden_mempool, golden_params, greedy)
     elapsed = time.perf_counter() - t0
     ok = (
         ve.passes
@@ -122,7 +122,7 @@ def test_c04_randomized_oracle_suite():
         k = int(rng.integers(1, min(m, 4) + 1))
         lam = float(rng.choice([0.5, 1.0, 2.0]))
         profile = solve_equilibrium(mp, GameParams(k=k, lam=lam))
-        if not brute_force_check(mp, GameParams(k=k, lam=lam), profile, tol=1e-8).passes:
+        if not brute_force_check(mp, GameParams(k=k, lam=lam), profile).passes:
             failures += 1
     elapsed = time.perf_counter() - t0
     ok = failures == 0 and elapsed < 5.0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from txpack import Mempool, dump_mempool
-from txpack.cli import _dumps12, main
+from txpack.cli import Rows, _dumps12, main
 
 
 def run_cli(capsys, *argv):
@@ -384,14 +384,38 @@ def test_infinite_price_exits_1(capsys, tmp_path):
     assert err.startswith("error:") and "transaction 8" in err
 
 
-@pytest.mark.parametrize("ids", [
-    [1, 2, 3, 4, 5, 6],  # id 7 missing
-    [1, 2, 3, 4, 5, 6, 7, 99],  # 99 is not in the mempool
-    [1, 2, 3, 4, 5, 6, 7, 1],  # id 1 twice
-], ids=["missing", "unknown", "duplicated"])
-def test_profile_must_match_mempool(capsys, tmp_path, golden_mempool_file, ids):
+def _profile_doc(ids=range(1, 8), p=0.5, **extra):
+    return {"marginals": [{"id": i, "p": p} for i in ids], **extra}
+
+
+BAD_PROFILES = {
+    "missing": _profile_doc([1, 2, 3, 4, 5, 6]),
+    "unknown": _profile_doc([1, 2, 3, 4, 5, 6, 7, 99]),
+    "duplicated": _profile_doc([1, 2, 3, 4, 5, 6, 7, 1]),
+    "nan p": _profile_doc(p=math.nan),
+    "inf p": _profile_doc(p=math.inf),
+    "p above 1": _profile_doc(p=1.5),
+    "string p": _profile_doc(p="x"),
+    "bool p": _profile_doc(p=True),
+    "int p beyond float range": _profile_doc(p=10**400),
+    "array records": {"marginals": [[i, 0.5] for i in range(1, 8)]},
+    "record without p": {"marginals": [{"id": i} for i in range(1, 8)]},
+    "marginals object": {"marginals": {"1": 0.5}},
+    "top-level array": _profile_doc()["marginals"],
+    "no marginals": {"xhat": 0.0, "w": 1.0},
+    "string w": _profile_doc(w="abc"),
+    "nan w": _profile_doc(w=math.nan),
+    "string xhat": _profile_doc(xhat="0"),
+    "not json": "{",
+    "int past the digit limit": "1" + "0" * 5000,
+}
+
+
+@pytest.mark.parametrize("case", BAD_PROFILES)
+def test_profile_must_match_mempool(capsys, tmp_path, golden_mempool_file, case):
     ppath = tmp_path / "profile.json"
-    ppath.write_text(json.dumps({"marginals": [{"id": i, "p": 0.5} for i in ids]}))
+    doc = BAD_PROFILES[case]
+    ppath.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     rc, out, err = run_cli(
         capsys, "verify", "--mempool", str(golden_mempool_file),
         "--k", "3", "--lambda", "1", "--profile", str(ppath),
@@ -399,6 +423,7 @@ def test_profile_must_match_mempool(capsys, tmp_path, golden_mempool_file, ids):
     assert rc == 1
     assert out == ""
     assert err.startswith("error:")
+    assert err.count("\n") == 1  # one line, no traceback
 
 
 def test_nan_budget_exits_3(capsys, tmp_path):
@@ -520,6 +545,23 @@ _docs = st.recursive(
 @given(_docs)
 def test_writer_matches_reference(doc):
     assert _dumps12(doc) == _reference_dumps12(doc)
+
+
+_marginal = st.one_of(
+    st.sampled_from([0.0, 1.0, 1e-300, 5e-324, 1.25e-7, 0.1 + 0.2, 1e16, 1e300]),
+    st.floats(0.0, 1.0),
+    st.floats(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**63 - 1), _marginal), max_size=20),
+       _marginal, st.one_of(st.none(), _marginal))
+def test_rows_write_like_dict_rows(records, xhat, w):
+    ids, ps = [i for i, _ in records], [p for _, p in records]
+    rows = {"marginals": Rows(("id", "p"), (ids, ps)), "xhat": xhat, "w": w}
+    dict_rows = {"marginals": [{"id": i, "p": p} for i, p in records], "xhat": xhat, "w": w}
+    assert _dumps12(rows) == _reference_dumps12(dict_rows)
 
 
 def _seeded_mempool_file(tmp_path, kind):

@@ -55,7 +55,12 @@ def test_duplicate_id_rejected():
         load_mempool(doc)
 
 
-@pytest.mark.parametrize("doc", ["not json", "[]", '{"transactions": 5}', '{"transactions": [{}]}'])
+@pytest.mark.parametrize("doc", [
+    "not json", "[]", '{"transactions": 5}', '{"transactions": [{}]}',
+    pytest.param(b'{"transactions": [{"id": 1, "gas_price": 2.0, "\xff": 1}]}', id="not utf-8"),
+    pytest.param('{"transactions": [{"id": 1, "gas_price": 1' + "0" * 5000 + "}]}",
+                 id="int past the digit limit"),
+])
 def test_malformed_documents_rejected(doc):
     with pytest.raises(ValidationError):
         load_mempool(doc)
@@ -117,6 +122,14 @@ BAD_TABLES = {
     "fractional id": ([0, 1.5], [1.0, 1.0], [1.0, 1.0], "got 1.5"),
     "negative id": ([0, -1], [1.0, 1.0], [1.0, 1.0], "got -1"),
     "duplicate id": ([3, 3], [1.0, 2.0], [1.0, 1.0], "duplicate transaction id 3"),
+    "string price": ([0, 7], [1.0, "3"], [1.0, 1.0], "transaction 7: gas_price must be a number, got '3'"),
+    "bool price": ([0, 7], [1.0, True], [1.0, 1.0], "transaction 7: gas_price must be a number, got True"),
+    "array price": ([0, 7], [1.0, [2]], [1.0, 1.0], r"transaction 7: gas_price must be a number, got \[2\]"),
+    "bool size": ([0, 7], [1.0, 1.0], [1.0, True], "transaction 7: size must be a number, got True"),
+    "string size": ([0, 7], [1.0, 1.0], [1.0, "2"], "transaction 7: size must be a number, got '2'"),
+    "int price beyond float range": ([0, 7], [1.0, 10**400], [1.0, 1.0], "transaction 7: gas_price must be finite"),
+    "int size beyond float range": ([0, 7], [1.0, 1.0], [1.0, -10**400], "transaction 7: size must be finite"),
+    "id beyond 64 bits": ([0, 2**64], [1.0, 1.0], [1.0, 1.0], "must fit in 64 bits, got 18446744073709551616"),
 }
 
 ENTRY_POINTS = {

@@ -114,6 +114,19 @@ class TestSampleBlock:
             with pytest.raises(ValidationError, match="r must"):
                 sample_block(profile, r, k=3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_marginal_refused(self, bad):
+        profile = profile_from([bad, 1, 1, 0])
+        with pytest.raises(ValidationError, match="marginals sum to"):
+            sample_block(profile, 0.5, k=2)
+        with pytest.raises(ValidationError, match="marginals sum to"):
+            corresponding_strategy(profile, 2)
+
+    @pytest.mark.parametrize("p", [[1.5, 0.5, 0, 0], [-0.5, 1, 1, 0.5]])
+    def test_marginal_outside_unit_interval_refused(self, p):
+        with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
+            SegmentSampler(profile_from(p), 2)
+
     def test_always_exactly_k(self):
         rng = np.random.default_rng(42)
         mp = random_unit_mempool(rng, 25)
@@ -206,6 +219,13 @@ class TestRejectionSampler:
         profile = MarginalProfile(np.array(ids), solved[: len(ids)], 0.0, 1.0)
         with pytest.raises(ValidationError, match="profile does not match the mempool"):
             rejection_sample_block(golden_mempool, profile, 3.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -0.5])
+    def test_marginal_outside_unit_interval_refused(self, bad):
+        mp = Mempool.from_arrays([1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0])
+        profile = MarginalProfile(mp.ids, np.array([bad, 1.0, 1.0, 0.0]), 0.0, 1.0)
+        with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
+            rejection_sample_block(mp, profile, 2.0, np.random.default_rng(0))
 
     def test_empty_window_draws_nothing(self, golden_mempool):
         profile = MarginalProfile(golden_mempool.ids, np.full(7, 0.5), 0.0, 1.0)

@@ -65,6 +65,16 @@ class TestExpectedUtility:
         with pytest.raises(ValidationError, match="unknown transaction id 99"):
             expected_utility(own, profile, golden_mempool, golden_params)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5])
+    def test_marginal_outside_unit_interval_refused(self, golden_mempool, golden_params, bad):
+        good = solve_equilibrium(golden_mempool, golden_params)
+        values = good.values.copy()
+        values[0] = bad
+        profile = replace(good, values=values)
+        for own, others in [(profile, profile), (good, profile), ({1: bad}, good)]:
+            with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
+                expected_utility(own, others, golden_mempool, golden_params)
+
     def test_mapping_leaves_absent_ids_at_zero(self, golden_mempool, golden_params):
         profile = solve_equilibrium(golden_mempool, golden_params)
         as_map = expected_utility({5: 1.0, 2: 1.0}, profile, golden_mempool, golden_params)
@@ -151,6 +161,14 @@ class TestVerifyEquilibrium:
         assert zero.w == 0.0
         assert not zero.passes
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_marginal_refused(self, bad):
+        # Refused up front: Python's max() would drop a NaN violation from the verdict.
+        mp = Mempool.from_arrays([1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0])
+        profile = MarginalProfile(mp.ids, np.array([bad, 1.0, 1.0, 0.0]), 0.0, 1.0)
+        with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
+            verify_equilibrium(profile, mp, GameParams(k=2, lam=1.0))
+
     def test_all_ones_passes_vacuously(self):
         mp = Mempool([Transaction(i, float(i + 1)) for i in range(3)])
         params = GameParams(k=3, lam=1.0)
@@ -205,11 +223,11 @@ class TestOracleAgreement:
             k = int(rng.integers(1, min(m, 4) + 1))
             params = GameParams(k=k, lam=lam)
             profile = solve_equilibrium(mp, params)
-            bf = brute_force_check(mp, params, profile, tol=1e-8)
+            bf = brute_force_check(mp, params, profile)
             ve = verify_equilibrium(profile, mp, params, tol=1e-8)
             assert bf.passes and ve.passes
             greedy = greedy_profile(mp, params)
-            assert brute_force_check(mp, params, greedy, tol=1e-8).passes == \
+            assert brute_force_check(mp, params, greedy).passes == \
                 verify_equilibrium(greedy, mp, params, tol=1e-8).passes
 
 

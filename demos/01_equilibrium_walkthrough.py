@@ -8,18 +8,18 @@ then shifts and clamps them so they use exactly the block capacity.
 
 import numpy as np
 
-from txpack import GameParams, Mempool, Transaction, compute_phat, solve_equilibrium
+from txpack import GameParams, Mempool, compute_phat, solve_equilibrium
 
 prices = [1.0, np.exp(1), np.exp(-1 / 12), np.exp(5 / 12), 1.0, 1.0, np.exp(-3)]
-mempool = Mempool([Transaction(i + 1, v) for i, v in enumerate(prices)])
+mempool = Mempool.from_arrays(np.arange(1, len(prices) + 1), prices)
 params = GameParams(k=3, lam=1.0)
 
 raw = compute_phat(mempool, params)
 profile = solve_equilibrium(mempool, params)
 
 print(f"{'tx':>3} {'v(tx)':>10} {'raw p':>10} {'equilibrium p':>14}")
-for tx, r, p in zip(mempool, raw, profile.values):
-    print(f"{tx.id:>3} {tx.gas_price:>10.5f} {r:>10.5f} {p:>14.5f}")
+for txid, v, r, p in zip(mempool.ids, mempool.prices, raw, profile.values):
+    print(f"{txid:>3} {v:>10.5f} {r:>10.5f} {p:>14.5f}")
 
 print()
 print(f"clamp shift xhat = {profile.xhat:.6f}")

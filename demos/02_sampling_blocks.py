@@ -10,14 +10,13 @@ import numpy as np
 from txpack import (
     GameParams,
     Mempool,
-    Transaction,
     corresponding_strategy,
     sample_block,
     solve_equilibrium,
 )
 
 prices = [1.0, np.exp(1), np.exp(-1 / 12), np.exp(5 / 12), 1.0, 1.0, np.exp(-3)]
-mempool = Mempool([Transaction(i + 1, v) for i, v in enumerate(prices)])
+mempool = Mempool.from_arrays(np.arange(1, len(prices) + 1), prices)
 params = GameParams(k=3, lam=1.0)
 profile = solve_equilibrium(mempool, params)
 

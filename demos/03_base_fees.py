@@ -8,10 +8,10 @@ marginal had to be clamped.
 
 import numpy as np
 
-from txpack import GameParams, Mempool, Transaction, base_fee, solve_equilibrium
+from txpack import GameParams, Mempool, base_fee, solve_equilibrium
 
 prices = [1.0, np.exp(1), np.exp(-1 / 12), np.exp(5 / 12), 1.0, 1.0, np.exp(-3)]
-mempool = Mempool([Transaction(i + 1, v) for i, v in enumerate(prices)])
+mempool = Mempool.from_arrays(np.arange(1, len(prices) + 1), prices)
 params = GameParams(k=3, lam=1.0)
 
 for mode in ("xhat_aware", "paper_closed_form"):
@@ -21,11 +21,11 @@ for mode in ("xhat_aware", "paper_closed_form"):
 fb = base_fee(mempool, params, "xhat_aware")
 profile = solve_equilibrium(mempool, params)
 print("\nclassification against the shift-aware bounds:")
-for tx, p in zip(mempool, profile.values):
-    if tx.gas_price < fb.v_low:
+for txid, v, p in zip(mempool.ids, mempool.prices, profile.values):
+    if v < fb.v_low:
         zone = "below v_low  -> never packaged"
-    elif tx.gas_price > fb.v_high:
+    elif v > fb.v_high:
         zone = "above v_high -> always packaged"
     else:
         zone = "between      -> randomized"
-    print(f"  tx{tx.id}: v = {tx.gas_price:.4f}  p = {p:.3f}  {zone}")
+    print(f"  tx{txid}: v = {v:.4f}  p = {p:.3f}  {zone}")

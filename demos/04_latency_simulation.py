@@ -11,7 +11,6 @@ import numpy as np
 from txpack import (
     GameParams,
     Mempool,
-    Transaction,
     expected_utility,
     greedy_profile,
     run_experiment,
@@ -19,7 +18,7 @@ from txpack import (
 )
 
 prices = [1.0, np.exp(1), np.exp(-1 / 12), np.exp(5 / 12), 1.0, 1.0, np.exp(-3)]
-mempool = Mempool([Transaction(i + 1, v) for i, v in enumerate(prices)])
+mempool = Mempool.from_arrays(np.arange(1, len(prices) + 1), prices)
 params = GameParams(k=3, lam=1.0)
 
 eq = solve_equilibrium(mempool, params)

@@ -2,7 +2,7 @@
 
 Library layout:
 
-- mempool:     transaction / mempool domain types and JSON ingestion
+- mempool:     the mempool as validated columns, game parameters, JSON ingestion
 - equilibrium: closed-form marginals, clamp-threshold solver, profiles
 - strategy:    explicit mixed strategies and block samplers
 - fees:        endogenous base-fee bounds
@@ -28,14 +28,8 @@ from .errors import (
     ZeroLatencyError,
 )
 from .fees import FeeBounds, base_fee
-from .mempool import GameParams, Mempool, Transaction, dump_mempool, load_mempool
-from .simulate import (
-    ExperimentReport,
-    RoundOutcome,
-    measure_exclusion_frequency,
-    run_experiment,
-    simulate_round,
-)
+from .mempool import GameParams, Mempool, load_mempool
+from .simulate import ExperimentReport, run_experiment
 from .strategy import (
     Block,
     MixedStrategy,

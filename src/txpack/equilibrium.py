@@ -43,12 +43,6 @@ class MarginalProfile:
             raise ValidationError("profile does not match the mempool")
         return check_marginals(np.asarray(self.values, dtype=np.float64), "profile marginals")
 
-    def probability(self, txid: int) -> float:
-        idx = np.nonzero(self.ids == txid)[0]
-        if idx.size == 0:
-            raise KeyError(txid)
-        return float(self.values[idx[0]])
-
 
 def check_marginals(values: np.ndarray, what: str) -> np.ndarray:
     """values, unless one lies outside [0, 1 + 1e-12]: then ValidationError (NaN fails too)."""
@@ -172,7 +166,7 @@ def _model_guess(mempool: Mempool, params: GameParams) -> list:
         return [-1, -1]
     # The model is total below every breakpoint and 0 at the top one.
     lo, hi = log_prices[order[0]] - lam - 1.0, log_prices[order[m - 1]]
-    y = mempool.mean_log_price - lam * k / mempool.total_size  # shift 0: exact if nothing clamps
+    y = log_threshold(0.0, mempool, params)  # exact if nothing clamps
     if not lo < y < hi:
         y = 0.5 * (lo + hi)
     newton_piece = None
@@ -233,11 +227,14 @@ def _last_above(raw, order, r, i, above) -> int:
     return lo
 
 
+def log_threshold(xhat: float, mempool: Mempool, params: GameParams) -> float:
+    """ln w at clamp shift xhat: the log price whose raw marginal is exactly xhat."""
+    return -params.lam * params.k / mempool.total_size + mempool.mean_log_price + params.lam * xhat
+
+
 def threshold(xhat: float, mempool: Mempool, params: GameParams) -> float:
     """Equilibrium threshold w at clamp shift xhat: the price whose raw marginal is exactly xhat."""
-    sums = mempool.total_size
-    log_w = -params.lam * params.k / sums + mempool.mean_log_price + params.lam * xhat
-    return float(np.exp(log_w))
+    return float(np.exp(log_threshold(xhat, mempool, params)))
 
 
 def clamp_marginals(

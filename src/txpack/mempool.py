@@ -1,12 +1,13 @@
-"""Domain types for transactions and mempools, plus JSON ingestion.
+"""The mempool as validated column arrays, plus JSON ingestion.
 
 Wire format: ``{"transactions": [{"id": int, "gas_price": num, "size": num}, ...]}``
 with ``size`` defaulting to 1.0. Input order is preserved and acts as the
-canonical tie-break order everywhere else in the package. Every constructor
-applies one rule set: ids are unique, non-negative, non-boolean 64-bit
-integers; ``gas_price`` and ``size`` are ints or floats (not booleans or
-strings), finite and > 0. A violation raises ValidationError naming the
-offending id.
+canonical tie-break order everywhere else in the package. ``load_mempool``
+parses the wire format into columns, and ``Mempool.from_arrays``, the one
+constructor, applies one rule set to them: ids are unique, non-negative,
+non-boolean 64-bit integers; ``gas_price`` and ``size`` are ints or floats
+(not booleans or strings), finite and > 0. A violation raises
+ValidationError naming the offending id.
 """
 
 from __future__ import annotations
@@ -64,42 +65,16 @@ def number_column(values, ids: np.ndarray, name: str) -> np.ndarray:
     raise ValidationError(f"{where}: {name} {problem}")
 
 
-@dataclass(frozen=True)
-class Transaction:
-    """One mempool order: id, bid per unit capacity, and capacity usage."""
-
-    id: int
-    gas_price: float
-    size: float = 1.0
-
-    def __post_init__(self):
-        Mempool.from_arrays([self.id], [self.gas_price], [self.size])  # the mempool's own rules
-
-    @property
-    def gas_fee(self) -> float:
-        return self.gas_price * self.size
-
-
 class Mempool:
     """Immutable ordered table of transactions with unique ids.
 
-    Numpy arrays (ids, prices, sizes, log-prices) aligned to input order are the
-    representation; ``Transaction`` objects are built only on iteration or indexing.
+    Numpy arrays (ids, prices, sizes, log-prices) aligned to input order are
+    the whole representation; ``from_arrays`` is the one constructor.
     """
-
-    def __init__(self, transactions):
-        txs = tuple(transactions)
-        self._set_columns([t.id for t in txs], [t.gas_price for t in txs], [t.size for t in txs])
 
     @classmethod
     def from_arrays(cls, ids, gas_prices, sizes=None) -> "Mempool":
-        """Build from id, price and (default all-ones) size columns."""
-        self = cls.__new__(cls)
-        self._set_columns(ids, gas_prices, sizes)
-        return self
-
-    def _set_columns(self, ids, gas_prices, sizes):
-        """The one initialiser and validator behind every constructor."""
+        """Build from id, price and (default all-ones) size columns, validating each."""
         ids = _id_column(ids)
         prices = number_column(gas_prices, ids, "gas_price")
         sizes = np.ones(len(ids)) if sizes is None else number_column(sizes, ids, "size")
@@ -112,14 +87,12 @@ class Mempool:
         uniq, counts = np.unique(ids, return_counts=True)
         if (counts > 1).any():
             raise ValidationError(f"duplicate transaction id {uniq[counts > 1][0]}")
+        self = cls.__new__(cls)
         self.ids, self.prices, self.sizes = ids, prices, sizes
         self.log_prices = np.log(prices)
         for arr in (self.ids, self.prices, self.sizes, self.log_prices):
             arr.setflags(write=False)
-
-    @cached_property
-    def transactions(self) -> tuple:
-        return tuple(map(Transaction, self.ids.tolist(), self.prices.tolist(), self.sizes.tolist()))
+        return self
 
     @cached_property
     def total_size(self) -> float:
@@ -173,17 +146,8 @@ class Mempool:
             raise ValidationError(f"unknown transaction id {want[~known][0]}")
         return self._id_order[at]
 
-    def index_of(self, txid: int) -> int:
-        return int(self.positions([txid])[0])
-
     def __len__(self):
         return len(self.ids)
-
-    def __iter__(self):
-        return iter(self.transactions)
-
-    def __getitem__(self, i):
-        return self.transactions[i]
 
     def __eq__(self, other):
         if not isinstance(other, Mempool):
@@ -193,14 +157,6 @@ class Mempool:
 
     def __repr__(self):
         return f"Mempool({len(self)} txs, total_size={self.total_size:g})"
-
-    def to_dict(self) -> dict:
-        return {
-            "transactions": [
-                {"id": i, "gas_price": v, "size": s}
-                for i, v, s in zip(self.ids.tolist(), self.prices.tolist(), self.sizes.tolist())
-            ]
-        }
 
 
 @dataclass(frozen=True)
@@ -259,7 +215,3 @@ def load_mempool(source) -> Mempool:
 def load_mempool_file(path) -> Mempool:
     with open(path, "rb") as fh:
         return load_mempool(fh)
-
-
-def dump_mempool(mempool: Mempool) -> str:
-    return json.dumps(mempool.to_dict())

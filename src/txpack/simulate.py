@@ -24,22 +24,11 @@ import numpy as np
 from .equilibrium import MarginalProfile, solve_equilibrium
 from .errors import ValidationError
 from .mempool import GameParams, Mempool
-from .strategy import Block, SegmentSampler
+from .strategy import SegmentSampler
 from .verify import greedy_profile
 
 STRATEGY_NAMES = ("equilibrium", "greedy", "uniform-random-k")
 _CHUNK_BYTES = 1 << 18  # block positions and per-position flags held per chunk of trials
-
-
-@dataclass(frozen=True)
-class RoundOutcome:
-    gamma: int
-    blocks: list
-    per_block_exclusive_revenue: list
-    duplicated_tx_count: int
-    unique_tx_count: int
-    wasted_capacity: float
-    chain_revenue: float  # each included tx's fee counted once
 
 
 @dataclass(frozen=True)
@@ -61,8 +50,8 @@ class _ProfileSource:
     """Blocks from a profile's segment sampler, drawn in two steps.
 
     ``tokens(rng, n)`` keeps the least each of n blocks needs (one probe here,
-    a k-subset in ``_UniformSource``); ``positions`` turns the tokens of one
-    round or of a chunk of trials into an (n, k) mempool-position matrix.
+    a k-subset in ``_UniformSource``); ``positions`` turns the tokens of a
+    chunk of trials into an (n, k) mempool-position matrix.
     """
 
     def __init__(self, profile: MarginalProfile, k: int, mempool: Mempool):
@@ -102,43 +91,6 @@ def _block_source(name: str, mempool: Mempool, params: GameParams):
     if name == "uniform-random-k":
         return _UniformSource(mempool, k)
     raise ValidationError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
-
-
-def simulate_round(
-    mempool: Mempool,
-    profile: MarginalProfile,
-    params: GameParams,
-    rng: np.random.Generator,
-    gamma: int | None = None,
-) -> RoundOutcome:
-    """One latency window: gamma ~ Poisson(lambda) blocks drawn i.i.d. from the profile.
-
-    Blocks come from the profile's segment sampler, whose distribution is
-    its ``corresponding_strategy``. Pass ``gamma`` to force the block count.
-    Duplication, throughput and both revenue accountings count all of the
-    round's blocks; a block's miner is its index in ``blocks``. As in
-    ``run_experiment``, a mempool whose sizes are not all 1 raises ValidationError.
-    """
-    mempool.require_unit_size()
-    source = _ProfileSource(profile, params.block_size(len(mempool)), mempool)
-    if gamma is None:
-        gamma = int(rng.poisson(params.lam))
-    pos = source.positions(source.tokens(rng, gamma))
-    fees = mempool.prices * mempool.sizes
-    count = np.bincount(pos.ravel(), minlength=len(mempool))
-    exclusive = np.where(count[pos] == 1, fees[pos], 0.0).sum(axis=1)
-    used = mempool.sizes[pos].sum(axis=1)
-    block_ids = np.sort(mempool.ids[pos], axis=1)
-    blocks = list(map(Block, block_ids, used.tolist()))
-    return RoundOutcome(
-        gamma,
-        blocks,
-        exclusive.tolist(),
-        int(np.count_nonzero(count >= 2)),
-        int(np.count_nonzero(count)),
-        float((np.maximum(count - 1, 0) * mempool.sizes).sum()),
-        float(fees[count > 0].sum()),
-    )
 
 
 def _trial_rng(seed: int, strategy_index: int, trial: int) -> np.random.Generator:
@@ -233,27 +185,3 @@ def run_experiment(config: dict) -> list:
             )
         )
     return reports
-
-
-def measure_exclusion_frequency(
-    profile: MarginalProfile, txid: int, params: GameParams, trials: int, seed: int = 0
-) -> float:
-    """Empirical probability that txid appears in none of a round's blocks.
-
-    Vectorized over all rounds; the closed-form target is exp(-lambda * p).
-    """
-    if txid not in profile.ids:
-        raise ValidationError(f"transaction id {txid!r} is not in the profile")
-    rng = np.random.default_rng(seed)
-    gammas = rng.poisson(params.lam, trials)
-    total = int(gammas.sum())
-    sampler = SegmentSampler(profile, params.block_size(len(profile.values)))
-    if total:
-        blocks = sampler.select_many(rng.random(total))
-        hit = (blocks == txid).any(axis=1).astype(np.int64)
-    else:
-        hit = np.zeros(0, dtype=np.int64)
-    bounds = np.concatenate([[0], np.cumsum(gammas)])
-    hit_cum = np.concatenate([[0], np.cumsum(hit)])
-    round_hits = hit_cum[bounds[1:]] - hit_cum[bounds[:-1]]
-    return float(np.mean(round_hits == 0))

@@ -52,10 +52,6 @@ class MixedStrategy:
     atom_txids: tuple
     intervals: tuple  # (start, end) of each atom's r-interval
 
-    @property
-    def support_size(self) -> int:
-        return len(self.atom_probs)
-
     def induced_marginals(self) -> dict:
         """Analytic per-transaction inclusion probabilities of the atoms."""
         out: dict[int, float] = {}
@@ -80,13 +76,6 @@ class SegmentSampler:
         cum = np.concatenate([[0.0], np.cumsum(values[nz])])
         cum[-1] = float(k)  # snap drift so probe positions never fall off the end
         self.cum = cum
-
-    def segment_intervals(self) -> list:
-        """(txid, start, end) for each nonzero-probability segment."""
-        return [
-            (int(t), float(a), float(b))
-            for t, a, b in zip(self.ids, self.cum[:-1], self.cum[1:])
-        ]
 
     def select_many(self, rs: np.ndarray) -> np.ndarray:
         """(n, k) id matrix: row i holds the segments covering r_i, r_i+1, ..., r_i+k-1."""

@@ -21,17 +21,11 @@ from .errors import ValidationError
 from .mempool import GameParams, Mempool
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class UtilityReport:
-    """Expected gas fee conditional on mining, with per-transaction terms."""
+    """Expected gas fee conditional on mining."""
 
     value: float
-    ids: np.ndarray
-    contributions: np.ndarray
-
-    @property
-    def per_tx(self) -> dict:
-        return dict(zip(self.ids.tolist(), self.contributions.tolist()))
 
 
 @dataclass(frozen=True)
@@ -77,7 +71,7 @@ def discounted_prices(others: MarginalProfile, mempool: Mempool, params: GamePar
 def expected_utility(own, others: MarginalProfile, mempool: Mempool, params: GameParams) -> UtilityReport:
     p_own = _own_vector(own, mempool)
     contributions = p_own * mempool.sizes * discounted_prices(others, mempool, params)
-    return UtilityReport(float(np.sum(contributions)), mempool.ids, contributions)
+    return UtilityReport(float(np.sum(contributions)))
 
 
 def best_response(others: MarginalProfile, mempool: Mempool, params: GameParams):
@@ -100,7 +94,7 @@ def best_response(others: MarginalProfile, mempool: Mempool, params: GameParams)
         p_own[order[n_whole]] = min(1.0, room / sizes[order[n_whole]])
     contributions = p_own * sizes * vt
     txids = tuple(mempool.ids[p_own > 0.0].tolist())
-    return txids, UtilityReport(float(np.sum(contributions)), mempool.ids, contributions)
+    return txids, UtilityReport(float(np.sum(contributions)))
 
 
 def verify_equilibrium(
@@ -110,7 +104,8 @@ def verify_equilibrium(
 
     Requires a w such that every zero-probability transaction has discounted
     price <= w, every certainly-included one >= w, and every interior one
-    == w. Violations are measured relative to w. A profile without a w
+    == w. Violations are measured relative to w, and the best response's
+    utility gain relative to the symmetric utility. A profile without a w
     (``w is None``) is checked against one estimated from its discounted prices.
     """
     p = _own_vector(profile, mempool)
@@ -141,7 +136,7 @@ def verify_equilibrium(
     br_set, br_util = best_response(profile, mempool, params)
     sym_util = expected_utility(profile, profile, mempool, params)
     gain = br_util.value - sym_util.value
-    worst = max(worst, gain / max(abs(sym_util.value), 1.0))
+    worst = max(worst, gain / max(abs(sym_util.value), 1e-300))
 
     passes = worst <= tol
     witness = None
@@ -155,7 +150,7 @@ def brute_force_feasible(m: int, k: int) -> bool:
     return m <= 20 and math.comb(m, min(k, m)) <= 1_000_000
 
 
-BRUTE_FORCE_TOL = 1e-8  # the largest utility gain a passing profile allows
+BRUTE_FORCE_TOL = 1e-8  # the largest utility gain a passing profile allows, per unit utility
 
 
 def brute_force_check(
@@ -164,8 +159,10 @@ def brute_force_check(
     """Enumerate every pure k-subset deviation against the profile.
 
     Utility is linear in own marginals, so no mixed deviation can beat the
-    best pure one; a gain above BRUTE_FORCE_TOL fails. Unit sizes and small
-    instances only (``brute_force_feasible``).
+    best pure one; a gain above BRUTE_FORCE_TOL times the symmetric utility
+    fails, whatever unit the prices are in. ``worst_violation`` reports the
+    absolute gain. Unit sizes and small instances only
+    (``brute_force_feasible``).
     """
     mempool.require_unit_size()
     k = params.require_integer_k()
@@ -182,7 +179,7 @@ def brute_force_check(
         if u - sym > best_gain:
             best_gain = u - sym
             best_set = combo
-    passes = best_gain <= BRUTE_FORCE_TOL
+    passes = best_gain <= BRUTE_FORCE_TOL * abs(sym)
     witness = None
     if not passes:
         witness = {

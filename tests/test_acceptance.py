@@ -13,14 +13,12 @@ import pytest
 from txpack import (
     GameParams,
     Mempool,
-    Transaction,
     base_fee,
     brute_force_check,
     compute_phat,
     compute_phat_real,
     expected_utility,
     greedy_profile,
-    measure_exclusion_frequency,
     rejection_sample_block,
     run_experiment,
     sample_block,
@@ -35,6 +33,7 @@ from conftest import (
     GOLDEN_PHAT,
     GOLDEN_PROFILE,
     GOLDEN_XHAT,
+    exclusion_frequency,
     random_sized_mempool,
     random_unit_mempool,
 )
@@ -78,7 +77,7 @@ def test_c02_segment_intervals_and_probe(golden_mempool, golden_params):
         return profile, sampler
 
     (profile, sampler), elapsed = best_time(build)
-    got = {t: (a, b) for t, a, b in sampler.segment_intervals()}
+    got = dict(zip(sampler.ids.tolist(), zip(sampler.cum[:-1], sampler.cum[1:])))
     intervals_ok = set(got) == set(GOLDEN_INTERVALS) and all(
         abs(got[t][0] - a) <= 1e-12 and abs(got[t][1] - b) <= 1e-12
         for t, (a, b) in GOLDEN_INTERVALS.items()
@@ -138,8 +137,8 @@ def test_c05_exclusivity_law(golden_mempool):
     for lam, txid in ((1.0, 1), (0.5, 2), (2.0, 7)):
         params = GameParams(k=3, lam=lam)
         profile = solve_equilibrium(golden_mempool, params)
-        p = profile.probability(txid)
-        freq = measure_exclusion_frequency(profile, txid, params, trials, seed=17)
+        p = profile.as_dict()[txid]
+        freq = exclusion_frequency(profile, txid, params, trials, seed=17)
         target = np.exp(-lam * p)
         se = np.sqrt(max(target * (1 - target), 1e-12) / trials)
         settings.append((lam, p, freq, target, abs(freq - target) <= 4 * se + 1e-9))
@@ -243,8 +242,8 @@ def test_c09_variable_size_suite():
 
     # 20-tx instance: exact conditional marginals by full 2^20 enumeration
     m = 20
-    mp = Mempool([Transaction(i, float(np.exp(rng.normal())), float(s))
-                  for i, s in enumerate(rng.uniform(0.3, 1.5, m))])
+    sizes = rng.uniform(0.3, 1.5, m)
+    mp = Mempool.from_arrays(range(m), [np.exp(rng.normal()) for _ in range(m)], sizes)
     k = 0.4 * mp.total_size
     kprime = 0.9 * k
     profile = solve_equilibrium(mp, GameParams(k=kprime, lam=1.0), mode="variable")

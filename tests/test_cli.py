@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from txpack import Mempool, dump_mempool
+from txpack import Mempool
 from txpack.cli import Rows, _dumps12, main
+
+from conftest import mempool_json
 
 
 def run_cli(capsys, *argv):
@@ -571,7 +573,7 @@ def _seeded_mempool_file(tmp_path, kind):
     prices = np.exp(rng.uniform(-3.0, 3.0, m))
     sizes = np.ones(m) if kind == "unit" else rng.uniform(0.2, 4.0, m)
     path = tmp_path / f"{kind}.json"
-    path.write_text(dump_mempool(Mempool.from_arrays(ids, prices, sizes)))
+    path.write_text(mempool_json(Mempool.from_arrays(ids, prices, sizes)))
     return path
 
 

@@ -13,7 +13,6 @@ from txpack import (
     GameParams,
     Mempool,
     MempoolFitsInBlock,
-    Transaction,
     ValidationError,
     ZeroLatencyError,
     clamp_marginals,
@@ -40,12 +39,12 @@ class TestComputePhat:
         assert raw == pytest.approx(GOLDEN_PHAT, abs=1e-9)
 
     def test_equal_prices_symmetric(self):
-        mp = Mempool([Transaction(i, 7.5) for i in range(5)])
+        mp = Mempool.from_arrays(range(5), [7.5] * 5)
         raw = compute_phat(mp, GameParams(k=2, lam=0.7))
         assert raw == pytest.approx([0.4] * 5, abs=1e-12)
 
     def test_single_transaction(self):
-        mp = Mempool([Transaction(0, 3.0)])
+        mp = Mempool.from_arrays([0], [3.0])
         raw = compute_phat(mp, GameParams(k=1, lam=2.0))
         assert raw[0] == pytest.approx(1.0)
 
@@ -55,10 +54,10 @@ class TestComputePhat:
 
     def test_empty_mempool_refused(self):
         with pytest.raises(ValidationError, match="empty"):
-            compute_phat(Mempool([]), GameParams(k=1, lam=1.0))
+            compute_phat(Mempool.from_arrays([], []), GameParams(k=1, lam=1.0))
 
     def test_requires_unit_sizes(self):
-        mp = Mempool([Transaction(0, 1.0, 2.0)])
+        mp = Mempool.from_arrays([0], [1.0], [2.0])
         with pytest.raises(ValidationError, match="unit"):
             compute_phat(mp, GameParams(k=1, lam=1.0))
 
@@ -90,13 +89,13 @@ class TestComputePhatReal:
     def test_two_transaction_hand_case(self):
         # Weighted mean log price is 2/3, so a lands exactly at 1 and b at 0;
         # the capacity identity gives 2*1 + 1*0 = k.
-        mp = Mempool([Transaction(0, np.e, 2.0), Transaction(1, 1.0, 1.0)])
+        mp = Mempool.from_arrays([0, 1], [np.e, 1.0], [2.0, 1.0])
         raw = compute_phat_real(mp, GameParams(k=2, lam=1.0))
         assert raw == pytest.approx([1.0, 0.0], abs=1e-12)
         assert float(raw @ mp.sizes) == pytest.approx(2.0, abs=1e-12)
 
     def test_equal_prices(self):
-        mp = Mempool([Transaction(i, 2.0, s) for i, s in enumerate([1.0, 2.0, 3.0])])
+        mp = Mempool.from_arrays(range(3), [2.0] * 3, [1.0, 2.0, 3.0])
         raw = compute_phat_real(mp, GameParams(k=3, lam=1.0))
         assert raw == pytest.approx([0.5] * 3, abs=1e-12)
 
@@ -273,7 +272,7 @@ class TestClampMarginals:
         assert np.exp(-1 / 12) * np.exp(-0.25) == pytest.approx(profile.w, rel=1e-12)
 
     def test_zero_shift_is_identity(self):
-        mp = Mempool([Transaction(i, 1.0) for i in range(4)])
+        mp = Mempool.from_arrays(range(4), [1.0] * 4)
         params = GameParams(k=2, lam=1.0)
         raw = compute_phat(mp, params)
         profile = clamp_marginals(raw, 0.0, mp, params)
@@ -294,8 +293,8 @@ class TestClampMarginals:
 
 class TestSolveEquilibrium:
     def test_scale_covariance(self, golden_mempool, golden_params):
-        scaled = Mempool(
-            [Transaction(t.id, t.gas_price * 17.3, t.size) for t in golden_mempool]
+        scaled = Mempool.from_arrays(
+            golden_mempool.ids, golden_mempool.prices * 17.3, golden_mempool.sizes
         )
         a = solve_equilibrium(golden_mempool, golden_params)
         b = solve_equilibrium(scaled, golden_params)
@@ -310,7 +309,7 @@ class TestSolveEquilibrium:
         assert np.all(np.diff(profile.values[order]) >= -1e-12)
 
     def test_package_everything(self):
-        mp = Mempool([Transaction(0, 1.0), Transaction(1, 5.0)])
+        mp = Mempool.from_arrays([0, 1], [1.0, 5.0])
         profile = solve_equilibrium(mp, GameParams(k=4, lam=1.0))
         assert profile.values == pytest.approx([1.0, 1.0])
 

@@ -5,7 +5,6 @@ from txpack import (
     GameParams,
     Mempool,
     MempoolFitsInBlock,
-    Transaction,
     ValidationError,
     ZeroLatencyError,
     base_fee,
@@ -25,15 +24,16 @@ def test_golden_xhat_aware(golden_mempool, golden_params):
 def test_golden_classification(golden_mempool, golden_params):
     fb = base_fee(golden_mempool, golden_params, "xhat_aware")
     profile = solve_equilibrium(golden_mempool, golden_params)
-    for tx, p in zip(golden_mempool, profile.values):
-        if tx.gas_price < fb.v_low * (1 - 1e-12):
+    for price, p in zip(golden_mempool.prices, profile.values):
+        if price < fb.v_low * (1 - 1e-12):
             assert p == 0.0
-        if tx.gas_price > fb.v_high * (1 + 1e-12):
+        if price > fb.v_high * (1 + 1e-12):
             assert p == 1.0
     # spot checks against hand-solved values
-    assert profile.probability(7) == 0.0  # e^-3 < v_low
-    assert profile.probability(2) == 1.0  # e^1 > v_high
-    assert profile.probability(4) == pytest.approx(0.75)  # between the bounds
+    p = profile.as_dict()
+    assert p[7] == 0.0  # e^-3 < v_low
+    assert p[2] == 1.0  # e^1 > v_high
+    assert p[4] == pytest.approx(0.75)  # between the bounds
 
 
 def test_golden_closed_form(golden_mempool, golden_params):
@@ -45,7 +45,7 @@ def test_golden_closed_form(golden_mempool, golden_params):
 
 def test_equal_prices_closed_form():
     v, m, k, lam = 4.0, 6, 2, 1.7
-    mp = Mempool([Transaction(i, v) for i in range(m)])
+    mp = Mempool.from_arrays(range(m), [v] * m)
     fb = base_fee(mp, GameParams(k=k, lam=lam), "paper_closed_form")
     assert fb.v_low == pytest.approx(v * np.exp(-k * lam / m), rel=1e-12)
     assert fb.v_high == pytest.approx(v * np.exp((m - k) * lam / m), rel=1e-12)
@@ -65,6 +65,23 @@ def test_v_low_equals_threshold(seed):
     assert fb.v_low <= fb.v_high
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale, lam", [(1.0, 1000.0), (1e-300, 100.0)],
+                         ids=["e^lambda overflows", "w underflows"])
+def test_v_high_from_logs_out_of_float_range(scale, lam):
+    # every marginal is interior, so v_high = exp(ln w + lambda) with
+    # ln w = mean ln v - lambda k / m, though w or e^lambda is out of range
+    prices = scale * np.exp(np.arange(4) / 3)
+    mp = Mempool.from_arrays(range(4), prices)
+    params = GameParams(k=3, lam=lam)
+    log_v_high = np.log(prices).mean() - lam * 3 / 4 + lam
+    for mode in ("paper_closed_form", "xhat_aware"):
+        fb = base_fee(mp, params, mode)
+        assert fb.v_low == 0.0  # w itself underflows
+        assert fb.v_high == pytest.approx(np.exp(log_v_high), rel=1e-9)
+        assert prices.max() < fb.v_high
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_classification_soundness(seed):
     rng = np.random.default_rng(500 + seed)
@@ -82,7 +99,7 @@ def test_classification_soundness(seed):
 
 def test_modes_agree_without_clamping():
     # equal prices keep every raw marginal interior, so xhat = 0
-    mp = Mempool([Transaction(i, 2.0) for i in range(8)])
+    mp = Mempool.from_arrays(range(8), [2.0] * 8)
     params = GameParams(k=3, lam=1.0)
     a = base_fee(mp, params, "paper_closed_form")
     b = base_fee(mp, params, "xhat_aware")
@@ -95,7 +112,7 @@ def test_errors(golden_mempool):
     with pytest.raises(ZeroLatencyError):
         base_fee(golden_mempool, GameParams(k=3, lam=0.0))
     with pytest.raises(ValidationError, match="empty"):
-        base_fee(Mempool([]), GameParams(k=3, lam=1.0))
+        base_fee(Mempool.from_arrays([], []), GameParams(k=3, lam=1.0))
     with pytest.raises(MempoolFitsInBlock):
         base_fee(golden_mempool, GameParams(k=100, lam=1.0))
     with pytest.raises(ValidationError, match="mode"):

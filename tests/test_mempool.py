@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from txpack import GameParams, Mempool, Transaction, ValidationError, dump_mempool, load_mempool
-from txpack.mempool import load_mempool_file
+from txpack import GameParams, Mempool, ValidationError, load_mempool
+
+from conftest import mempool_json
 
 
 def test_load_golden_fixture(golden_mempool):
-    doc = json.dumps(golden_mempool.to_dict())
-    mp = load_mempool(doc)
+    mp = load_mempool(mempool_json(golden_mempool))
     assert len(mp) == 7
     assert list(mp.ids) == [1, 2, 3, 4, 5, 6, 7]
     assert mp.prices[1] == pytest.approx(np.e)
@@ -67,7 +67,7 @@ def test_malformed_documents_rejected(doc):
 
 
 def test_round_trip(golden_mempool):
-    again = load_mempool(dump_mempool(golden_mempool))
+    again = load_mempool(mempool_json(golden_mempool))
     assert again == golden_mempool
 
 
@@ -82,15 +82,8 @@ def test_total_size_unit_mempool(golden_mempool):
 
 
 def test_total_size_recomputed():
-    mp = Mempool([Transaction(0, 1.0, 2.0), Transaction(1, 1.0, 0.5)])
+    mp = Mempool.from_arrays([0, 1], [1.0, 1.0], [2.0, 0.5])
     assert mp.total_size == pytest.approx(2.5)
-
-
-def test_from_arrays_matches_loop():
-    a = Mempool.from_arrays([0, 1], [1.0, 2.0], [1.0, 3.0])
-    b = Mempool([Transaction(0, 1.0, 1.0), Transaction(1, 2.0, 3.0)])
-    assert a == b
-    assert a.index_of(1) == 1
 
 
 def test_from_arrays_validates():
@@ -98,14 +91,6 @@ def test_from_arrays_validates():
         Mempool.from_arrays([0, 1], [1.0, -2.0])
     with pytest.raises(ValidationError, match="duplicate"):
         Mempool.from_arrays([1, 1], [1.0, 2.0])
-
-
-def test_transaction_invariants():
-    with pytest.raises(ValidationError):
-        Transaction(-1, 1.0)
-    with pytest.raises(ValidationError):
-        Transaction(0, 0.0)
-    assert Transaction(0, 2.0, 3.0).gas_fee == 6.0
 
 
 NAN, INF = float("nan"), float("inf")
@@ -137,9 +122,8 @@ ENTRY_POINTS = {
         {"id": i, "gas_price": v, "size": s} for i, v, s in zip(ids, prices, sizes)
     ]})),
     "from_arrays": Mempool.from_arrays,
-    "Mempool": lambda ids, prices, sizes: Mempool(
-        [Transaction(i, v, s) for i, v, s in zip(ids, prices, sizes)]
-    ),
+    # The Mempool given numpy columns: object arrays take the column checks' ndarray branches.
+    "Mempool": lambda *columns: Mempool.from_arrays(*(np.array(c, dtype=object) for c in columns)),
 }
 
 
@@ -151,19 +135,9 @@ def test_every_entry_point_applies_the_same_rules(entry, case):
         ENTRY_POINTS[entry](ids, prices, sizes)
 
 
-def test_load_builds_no_transaction_objects(tmp_path, golden_mempool):
-    path = tmp_path / "m.json"
-    path.write_text(dump_mempool(golden_mempool))
-    mp = load_mempool_file(path)
-    assert "transactions" not in vars(mp)  # the lazy property has not run
-    assert mp[1] == Transaction(2, float(np.e), 1.0)
-    assert list(mp) == list(golden_mempool)
-
-
 def test_positions_maps_ids_to_input_order():
     mp = Mempool.from_arrays([40, 10, 30], [1.0, 2.0, 3.0])
     assert mp.positions([30, 40, 30]).tolist() == [2, 0, 2]
-    assert mp.index_of(10) == 1
     with pytest.raises(ValidationError, match="unknown transaction id 20"):
         mp.positions([10, 20])
     with pytest.raises(ValidationError, match="unknown"):
@@ -184,4 +158,4 @@ _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, all
                 unique_by=lambda row: row[0], max_size=20))
 def test_dump_load_round_trip(rows):
     mp = Mempool.from_arrays([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
-    assert load_mempool(dump_mempool(mp)) == mp
+    assert load_mempool(mempool_json(mp)) == mp

@@ -1,90 +1,97 @@
 import numpy as np
 import pytest
-from conftest import random_unit_mempool
+from conftest import exclusion_frequency, random_unit_mempool
 
 from txpack import (
     GameParams,
     Mempool,
-    Transaction,
     ValidationError,
     greedy_profile,
-    measure_exclusion_frequency,
     run_experiment,
-    simulate_round,
     solve_equilibrium,
 )
 from txpack import simulate
-from txpack.simulate import STRATEGY_NAMES, _block_source, _trial_outcomes, _trial_rng
+from txpack.simulate import (
+    STRATEGY_NAMES,
+    _block_source,
+    _chunk_outcomes,
+    _trial_outcomes,
+    _trial_rng,
+)
+
+
+def _chunk(mempool, name, params, gammas, seed):
+    """``_chunk_outcomes`` of trials facing ``gammas`` rivals, and their blocks as positions."""
+    source = _block_source(name, mempool, params)
+    rng = np.random.default_rng(seed)
+    pos = source.positions(source.tokens(rng, int(gammas.sum()) + len(gammas)))
+    return _chunk_outcomes(pos, gammas, mempool.prices * mempool.sizes), pos
 
 
 def test_zero_lambda_empty_round(golden_mempool):
-    params = GameParams(k=3, lam=0.0)
-    profile = greedy_profile(golden_mempool, params)
-    outcome = simulate_round(golden_mempool, profile, params, np.random.default_rng(0))
-    assert outcome.gamma == 0
-    assert outcome.blocks == []
-    assert outcome.per_block_exclusive_revenue == []
-    assert outcome.unique_tx_count == 0
-    assert outcome.chain_revenue == 0.0
+    # no rival blocks: nothing is duplicated or counted on chain, and the
+    # focal greedy block keeps all of its fees
+    (report,) = run_experiment(config(golden_mempool, strategies=["greedy"], **{"lambda": 0.0}))
+    assert report.mean_duplication_rate == 0.0
+    assert report.mean_unique_tx == 0.0
+    assert report.mean_chain_revenue == 0.0
+    greedy = greedy_profile(golden_mempool, GameParams(k=3, lam=0.0))
+    top = float(greedy.values @ golden_mempool.prices)
+    assert report.mean_exclusive_revenue == pytest.approx(top, rel=1e-12)
 
 
 def test_forced_collision(golden_mempool, golden_params):
-    # a deterministic strategy duplicates its whole block: zero exclusive
-    # revenue for both miners, every included transaction duplicated
-    greedy = greedy_profile(golden_mempool, golden_params)
-    outcome = simulate_round(golden_mempool, greedy, golden_params, np.random.default_rng(1), gamma=2)
-    assert outcome.gamma == 2
-    assert outcome.blocks[0].txids == outcome.blocks[1].txids
-    assert outcome.per_block_exclusive_revenue == [0.0, 0.0]
-    assert outcome.duplicated_tx_count == 3
-    assert outcome.unique_tx_count == 3
-    assert outcome.wasted_capacity == pytest.approx(3.0)
+    # a deterministic strategy duplicates its whole block: the focal greedy
+    # block earns nothing exclusively once one greedy rival appears
+    gammas = np.array([1, 2, 4])
+    (revenue, dup_rate, unique, chain), pos = _chunk(golden_mempool, "greedy", golden_params, gammas, 1)
+    assert (pos == pos[0]).all()
+    assert revenue.tolist() == [0.0, 0.0, 0.0]
+    assert unique.tolist() == [3, 3, 3]
+    assert dup_rate == pytest.approx([0.0, 1 / 2, 3 / 4])
+    top = (golden_mempool.prices * golden_mempool.sizes)[pos[0]].sum()
+    assert chain == pytest.approx([top] * 3, rel=1e-12)
 
 
 def test_appearance_accounting(golden_mempool, golden_params):
-    profile = solve_equilibrium(golden_mempool, golden_params)
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        outcome = simulate_round(golden_mempool, profile, golden_params, rng)
-        appearances = sum(len(b.txids) for b in outcome.blocks)
-        duplicates = appearances - outcome.unique_tx_count
-        assert duplicates >= 0
-        assert outcome.duplicated_tx_count <= duplicates
+    # gamma rival blocks of k distinct transactions each make gamma*k
+    # appearances, of which `unique` are first appearances
+    gammas = np.random.default_rng(2).poisson(golden_params.lam, 200)
+    (_, dup_rate, unique, _), _ = _chunk(golden_mempool, "equilibrium", golden_params, gammas, 2)
+    appearances = 3 * gammas
+    assert np.all(unique <= np.minimum(appearances, len(golden_mempool)))
+    assert np.all(unique >= np.minimum(appearances, 3))
+    assert np.all((dup_rate >= 0.0) & (dup_rate < 1.0))
+    np.testing.assert_allclose(dup_rate * np.maximum(appearances, 1), appearances - unique, atol=1e-12)
 
 
 def test_revenue_conservation(golden_mempool, golden_params):
-    profile = solve_equilibrium(golden_mempool, golden_params)
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        outcome = simulate_round(golden_mempool, profile, golden_params, rng)
-        assert sum(outcome.per_block_exclusive_revenue) <= outcome.chain_revenue + 1e-12
+    # exclusive revenue is paid out of the focal block's fees, all of them
+    # when no rival appears
+    gammas = np.random.default_rng(3).poisson(golden_params.lam, 300)
+    (revenue, *_), pos = _chunk(golden_mempool, "equilibrium", golden_params, gammas, 3)
+    focal_fees = (golden_mempool.prices * golden_mempool.sizes)[pos[np.cumsum(gammas + 1) - gammas - 1]]
+    assert np.all(revenue <= focal_fees.sum(axis=1) + 1e-12)
+    assert np.array_equal(revenue[gammas == 0], focal_fees[gammas == 0].sum(axis=1))
+    assert (gammas == 0).any() and (revenue < focal_fees.sum(axis=1)).any()
 
 
 def test_round_refuses_sized_mempool():
-    # as in run_experiment: a k-transaction block of this mempool can overflow capacity k
-    mp = Mempool([Transaction(i, v, s) for i, (v, s) in
-                  enumerate(zip([5.0, 4.0, 3.0, 2.0, 1.0], [1.5, 0.5, 1.0, 2.0, 0.7]))])
-    params = GameParams(k=3, lam=1.0)
+    # a k-transaction block of this mempool can overflow capacity k
+    mp = Mempool.from_arrays(range(5), [5.0, 4.0, 3.0, 2.0, 1.0], [1.5, 0.5, 1.0, 2.0, 0.7])
     with pytest.raises(ValidationError, match="fixed mode"):
-        simulate_round(mp, greedy_profile(mp, params), params, np.random.default_rng(0), gamma=1)
+        run_experiment(config(mp, strategies=["greedy"]))
 
 
 def test_exclusion_frequency_tracks_closed_form(golden_mempool, golden_params):
     profile = solve_equilibrium(golden_mempool, golden_params)
     trials = 20_000
     for txid in (1, 2, 7):  # interior, p = 1, and p = 0
-        p = profile.probability(txid)
-        freq = measure_exclusion_frequency(profile, txid, golden_params, trials, seed=4)
+        p = profile.as_dict()[txid]
+        freq = exclusion_frequency(profile, txid, golden_params, trials, seed=4)
         target = np.exp(-golden_params.lam * p)
         se = np.sqrt(max(target * (1 - target), 1e-12) / trials)
         assert abs(freq - target) <= 4 * se + 1e-9
-
-
-def test_exclusion_frequency_rejects_unknown_txid(golden_mempool, golden_params):
-    # an id outside the profile is never in a block; that is no exclusion frequency
-    profile = solve_equilibrium(golden_mempool, golden_params)
-    with pytest.raises(ValidationError, match="999 is not in the profile"):
-        measure_exclusion_frequency(profile, 999, golden_params, 100)
 
 
 def config(mempool, **over):
@@ -173,38 +180,6 @@ def test_kernel_matches_per_trial_loop(name):
     want = _reference_trial_outcomes(_block_source(name, mempool, params), mempool, 2.5, 5, 300)
     np.testing.assert_array_equal(got[1:3], want[1:3])
     np.testing.assert_allclose(got[[0, 3]], want[[0, 3]], rtol=1e-13, atol=0)
-
-
-def _reference_round_metrics(mempool, block_ids):
-    """The dict-based round accounting simulate_round replaced, kept as its reference."""
-    fee_of = dict(zip(mempool.ids.tolist(), (mempool.prices * mempool.sizes).tolist()))
-    size_of = dict(zip(mempool.ids.tolist(), mempool.sizes.tolist()))
-    uniq, counts = np.unique(block_ids.ravel(), return_counts=True)
-    count_of = dict(zip(uniq.tolist(), counts.tolist()))
-    per_block = [sum(fee_of[t] for t in row.tolist() if count_of[t] == 1) for row in block_ids]
-    wasted = sum(size_of[t] * (c - 1) for t, c in count_of.items() if c > 1)
-    used = [sum(size_of[t] for t in row.tolist()) for row in block_ids]
-    chain = sum(fee_of[t] for t in uniq.tolist())
-    return per_block, int(np.sum(counts >= 2)), len(uniq), wasted, chain, used
-
-
-def test_round_matches_dict_accounting():
-    mempool = _shuffled_mempool(40)
-    params = GameParams(k=6, lam=3.0)
-    profile = solve_equilibrium(mempool, params)
-    rng = np.random.default_rng(8)
-    for _ in range(60):
-        out = simulate_round(mempool, profile, params, rng)
-        for b in out.blocks:
-            assert b.ids.dtype == np.int64 and np.all(np.diff(b.ids) > 0)
-            assert b.txids == frozenset(b.ids.tolist())
-        block_ids = np.array([sorted(b.txids) for b in out.blocks], dtype=np.int64).reshape(-1, 6)
-        per_block, dup, uniq, wasted, chain, used = _reference_round_metrics(mempool, block_ids)
-        assert out.per_block_exclusive_revenue == pytest.approx(per_block, rel=1e-13)
-        assert (out.duplicated_tx_count, out.unique_tx_count) == (dup, uniq)
-        assert out.wasted_capacity == pytest.approx(wasted, rel=1e-13)
-        assert out.chain_revenue == pytest.approx(chain, rel=1e-13)
-        assert [b.used_capacity for b in out.blocks] == pytest.approx(used, rel=1e-13)
 
 
 def test_zero_trials_rejected(golden_mempool):

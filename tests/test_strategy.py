@@ -7,7 +7,6 @@ from txpack import (
     GameParams,
     Mempool,
     RejectionBudgetExceeded,
-    Transaction,
     ValidationError,
     corresponding_strategy,
     rejection_sample_block,
@@ -42,7 +41,7 @@ class TestCorrespondingStrategy:
     def test_golden_intervals(self, golden_mempool, golden_params):
         profile = solve_equilibrium(golden_mempool, golden_params)
         sampler = SegmentSampler(profile, 3)
-        got = {t: (a, b) for t, a, b in sampler.segment_intervals()}
+        got = dict(zip(sampler.ids.tolist(), zip(sampler.cum[:-1], sampler.cum[1:])))
         assert set(got) == set(GOLDEN_INTERVALS)  # tx7 has p = 0: no segment
         for t, (a, b) in GOLDEN_INTERVALS.items():
             assert got[t][0] == pytest.approx(a, abs=1e-12)
@@ -50,7 +49,7 @@ class TestCorrespondingStrategy:
 
     def test_deterministic_profile_single_atom(self):
         strat = corresponding_strategy(profile_from([1, 0, 1, 0, 1]), 3)
-        assert strat.support_size == 1
+        assert len(strat.atom_probs) == 1
         assert strat.atom_probs[0] == pytest.approx(1.0)
         assert strat.atom_txids[0] == frozenset({1, 3, 5})
 
@@ -74,7 +73,7 @@ class TestCorrespondingStrategy:
         profile = solve_equilibrium(mp, GameParams(k=k, lam=float(rng.uniform(0.2, 3))))
         strat = corresponding_strategy(profile, k)
         assert strat.atom_probs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert strat.support_size <= len(mp)
+        assert len(strat.atom_probs) <= len(mp)
         assert all(len(s) == k for s in strat.atom_txids)
         induced = strat.induced_marginals()
         for txid, p in profile.as_dict().items():
@@ -151,7 +150,7 @@ class TestSampleBlock:
 
 class TestRejectionSampler:
     def test_deterministic_acceptance(self):
-        mp = Mempool([Transaction(0, 1.0, 1.0), Transaction(1, 1.0, 2.0)])
+        mp = Mempool.from_arrays([0, 1], [1.0, 1.0], [1.0, 2.0])
         profile = MarginalProfile(mp.ids, np.array([1.0, 1.0]), 0.0, 1.0)
         block, attempts = rejection_sample_block(mp, profile, 3.0, np.random.default_rng(0))
         assert attempts == 1
@@ -160,7 +159,7 @@ class TestRejectionSampler:
 
     def test_two_coin_outcomes(self):
         # window [0, 2] accepts everything: the four subsets each have mass 1/4
-        mp = Mempool([Transaction(0, 1.0), Transaction(1, 1.0)])
+        mp = Mempool.from_arrays([0, 1], [1.0, 1.0])
         profile = MarginalProfile(mp.ids, np.array([0.5, 0.5]), 0.0, 1.0)
         rng = np.random.default_rng(123)
         counts = {frozenset(): 0, frozenset({0}): 0, frozenset({1}): 0, frozenset({0, 1}): 0}
@@ -175,7 +174,7 @@ class TestRejectionSampler:
     def test_never_exceeds_capacity(self):
         rng = np.random.default_rng(9)
         sizes = rng.uniform(0.2, 2.0, 12)
-        mp = Mempool([Transaction(i, float(np.exp(rng.normal())), float(s)) for i, s in enumerate(sizes)])
+        mp = Mempool.from_arrays(range(12), [np.exp(rng.normal()) for _ in sizes], sizes)
         k = 0.5 * mp.total_size
         kprime = 0.95 * k
         profile = solve_equilibrium(mp, GameParams(k=kprime, lam=1.0), mode="variable")
@@ -186,8 +185,8 @@ class TestRejectionSampler:
     def test_matches_conditioned_enumeration(self):
         rng = np.random.default_rng(31)
         m = 12
-        mp = Mempool([Transaction(i, float(np.exp(rng.normal())), float(s))
-                      for i, s in enumerate(rng.uniform(0.3, 1.5, m))])
+        sizes = rng.uniform(0.3, 1.5, m)
+        mp = Mempool.from_arrays(range(m), [np.exp(rng.normal()) for _ in range(m)], sizes)
         k = 0.45 * mp.total_size
         kprime = 0.9 * k
         profile = solve_equilibrium(mp, GameParams(k=kprime, lam=1.0), mode="variable")
@@ -204,7 +203,7 @@ class TestRejectionSampler:
 
     def test_budget_exhausted(self):
         # acceptance window is unreachable: p = 1 on a tx bigger than k
-        mp = Mempool([Transaction(0, 1.0, 5.0)])
+        mp = Mempool.from_arrays([0], [1.0], [5.0])
         profile = MarginalProfile(mp.ids, np.array([1.0]), 0.0, 1.0)
         with pytest.raises(RejectionBudgetExceeded, match=r"^no accepted draw in 50 attempts$") as e:
             rejection_sample_block(mp, profile, 2.0, np.random.default_rng(0),

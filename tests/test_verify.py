@@ -6,7 +6,6 @@ import pytest
 from txpack import (
     GameParams,
     Mempool,
-    Transaction,
     ValidationError,
     best_response,
     brute_force_check,
@@ -29,7 +28,6 @@ class TestExpectedUtility:
         profile = solve_equilibrium(golden_mempool, golden_params)
         report = expected_utility(profile, profile, golden_mempool, golden_params)
         assert report.value == pytest.approx(EQ_UTILITY, rel=1e-12)
-        assert sum(report.per_tx.values()) == pytest.approx(report.value, abs=1e-12)
 
     def test_zero_lambda_no_discount(self, golden_mempool):
         params = GameParams(k=3, lam=0.0)
@@ -38,7 +36,7 @@ class TestExpectedUtility:
         assert report.value == pytest.approx(float(profile.values @ golden_mempool.prices))
 
     def test_single_transaction(self):
-        mp = Mempool([Transaction(0, 3.0)])
+        mp = Mempool.from_arrays([0], [3.0])
         params = GameParams(k=1, lam=2.0)
         profile = MarginalProfile(mp.ids, np.array([1.0]), 0.0, 0.0)
         report = expected_utility({0}, profile, mp, params)
@@ -54,7 +52,7 @@ class TestExpectedUtility:
         assert report.value == pytest.approx(by_hand, rel=1e-12)
 
     def test_mismatched_mempool_rejected(self, golden_mempool, golden_params):
-        other = Mempool([Transaction(99, 1.0)])
+        other = Mempool.from_arrays([99], [1.0])
         profile = solve_equilibrium(golden_mempool, golden_params)
         with pytest.raises(ValidationError):
             expected_utility(profile, profile, other, golden_params)
@@ -79,8 +77,8 @@ class TestExpectedUtility:
         profile = solve_equilibrium(golden_mempool, golden_params)
         as_map = expected_utility({5: 1.0, 2: 1.0}, profile, golden_mempool, golden_params)
         as_set = expected_utility({2, 5}, profile, golden_mempool, golden_params)
-        assert as_map.value == as_set.value
-        assert as_map.per_tx == as_set.per_tx and as_map.per_tx[7] == 0.0
+        explicit = expected_utility({5: 1.0, 2: 1.0, 7: 0.0}, profile, golden_mempool, golden_params)
+        assert as_map.value == as_set.value == explicit.value
 
     @pytest.mark.parametrize("seed", range(5))
     def test_linearity_in_own_marginals(self, seed):
@@ -170,7 +168,7 @@ class TestVerifyEquilibrium:
             verify_equilibrium(profile, mp, GameParams(k=2, lam=1.0))
 
     def test_all_ones_passes_vacuously(self):
-        mp = Mempool([Transaction(i, float(i + 1)) for i in range(3)])
+        mp = Mempool.from_arrays(range(3), [1.0, 2.0, 3.0])
         params = GameParams(k=3, lam=1.0)
         profile = solve_equilibrium(mp, params)
         assert np.all(profile.values == 1.0)
@@ -194,21 +192,20 @@ class TestBruteForce:
         assert dev - sym == pytest.approx(verdict.witness["utility_gain"], abs=1e-12)
 
     def test_uniform_on_equal_prices_passes(self):
-        mp = Mempool([Transaction(i, 2.0) for i in range(6)])
+        mp = Mempool.from_arrays(range(6), [2.0] * 6)
         params = GameParams(k=2, lam=1.0)
         assert brute_force_check(mp, params, uniform_profile(mp, params)).passes
 
     def test_sized_mempool_refused(self):
         # the enumeration takes unit-size k-subsets, so a size-3.2 block would count as a deviation
-        mp = Mempool([Transaction(i, v, s) for i, (v, s) in
-                      enumerate(zip([5.0, 4.0, 3.0, 2.0, 1.0], [1.5, 0.5, 1.0, 2.0, 0.7]))])
+        mp = Mempool.from_arrays(range(5), [5.0, 4.0, 3.0, 2.0, 1.0], [1.5, 0.5, 1.0, 2.0, 0.7])
         params = GameParams(k=3, lam=1.0)
         profile = solve_equilibrium(mp, params, mode="variable")
         with pytest.raises(ValidationError, match="fixed mode"):
             brute_force_check(mp, params, profile)
 
     def test_instance_size_guard(self):
-        mp = Mempool([Transaction(i, 1.0) for i in range(25)])
+        mp = Mempool.from_arrays(range(25), [1.0] * 25)
         with pytest.raises(ValidationError, match="too large"):
             brute_force_check(mp, GameParams(k=2, lam=1.0), uniform_profile(mp, GameParams(k=2, lam=1.0)))
 
@@ -229,6 +226,27 @@ class TestOracleAgreement:
             greedy = greedy_profile(mp, params)
             assert brute_force_check(mp, params, greedy).passes == \
                 verify_equilibrium(greedy, mp, params, tol=1e-8).passes
+
+
+def test_verdicts_do_not_depend_on_the_price_unit():
+    # scaling every price by c scales every utility by c and leaves the
+    # marginals, so both oracles must judge a perturbed profile alike at each c
+    params = GameParams(k=2, lam=1.0)
+    verdicts, worst, gain_per_c = [], [], []
+    for c in (1.0, 1e-6, 1e-9, 1e-12):
+        mp = Mempool.from_arrays(range(4), c * np.exp(np.linspace(0, 1, 4)))
+        solved = solve_equilibrium(mp, params)
+        assert verify_equilibrium(solved, mp, params).passes
+        assert brute_force_check(mp, params, solved).passes
+        perturbed = replace(solved, values=solved.values + [0.2, -0.2, 0.0, 0.0])
+        ve = verify_equilibrium(perturbed, mp, params)
+        bf = brute_force_check(mp, params, perturbed)
+        verdicts.append((ve.passes, bf.passes))
+        worst.append(ve.worst_violation)
+        gain_per_c.append(bf.worst_violation / c)  # the brute force reports the absolute gain
+    assert verdicts == [(False, False)] * 4
+    assert worst == pytest.approx([worst[0]] * 4, rel=1e-9)
+    assert gain_per_c == pytest.approx([gain_per_c[0]] * 4, rel=1e-9) and gain_per_c[0] > 0.2
 
 
 def test_greedy_strictly_dominated(golden_mempool, golden_params):

@@ -256,7 +256,8 @@ def solve_equilibrium(mempool: Mempool, params: GameParams, mode: str = "fixed")
 
     mode="fixed" requires unit sizes and integer k; mode="variable" allows
     arbitrary positive sizes. A mempool that fits entirely in one block
-    yields the all-ones profile rather than an error.
+    yields the all-ones profile rather than an error. Each solve leaves
+    (k, lambda, xhat) on ``mempool.last_solve`` for ``equilibrium_xhat``.
     """
     if mode == "fixed":
         params.require_integer_k()
@@ -265,11 +266,31 @@ def solve_equilibrium(mempool: Mempool, params: GameParams, mode: str = "fixed")
         raw = compute_phat_real(mempool, params)
     else:
         raise ValidationError(f"unknown mode {mode!r}")
+    xhat = _shift(raw, mempool, params)
+    if mempool.total_size <= params.k:
+        w = threshold(xhat, mempool, params)
+        profile = MarginalProfile(mempool.ids, np.ones(len(mempool)), xhat, w)
+    else:
+        profile = clamp_marginals(raw, xhat, mempool, params)
+    mempool.last_solve = (params.k, params.lam, xhat)  # one tuple, replaced whole
+    return profile
+
+
+def equilibrium_xhat(mempool: Mempool, params: GameParams) -> float:
+    """The clamp shift solve_equilibrium finds, bit for bit, without building a profile.
+
+    Fixed and variable mode share the raw marginals, so a solve in either
+    mode at the same k and lambda is reused; otherwise only the shift is solved.
+    """
+    k, lam, xhat = mempool.last_solve
+    if k == params.k and lam == params.lam:
+        return xhat
+    return _shift(compute_phat_real(mempool, params), mempool, params)
+
+
+def _shift(raw: np.ndarray, mempool: Mempool, params: GameParams) -> float:
     if mempool.total_size <= params.k:
         # Everything fits: all marginals are 1 and any shift at or below
         # min(p)-1 clamps to exactly that.
-        xhat = float(raw.min() - 1.0)
-        w = threshold(xhat, mempool, params)
-        return MarginalProfile(mempool.ids, np.ones(len(mempool)), xhat, w)
-    xhat = solve_xhat(raw, mempool, params)
-    return clamp_marginals(raw, xhat, mempool, params)
+        return float(raw.min() - 1.0)
+    return solve_xhat(raw, mempool, params)

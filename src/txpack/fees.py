@@ -5,9 +5,10 @@ the price above which every block packages it. They are the prices at which
 a zero-size virtual transaction's marginal hits the clamp boundaries, so
 v_low = w, the equilibrium threshold, and v_high = w * e^lambda, taken as
 exp(ln w + lambda) where w is subnormal or e^lambda overflows. The
-shift-aware mode takes w at the solved profile's clamp shift; the paper's
-closed form takes it at shift 0, so the two coincide exactly when no
-clamping is active (xhat = 0).
+shift-aware mode takes w at the solved profile's clamp shift, reusing the
+mempool's last solve at the same (k, lambda); the paper's closed form takes
+it at shift 0, so the two coincide exactly when no clamping is active
+(xhat = 0).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .equilibrium import check_solver_inputs, log_threshold, solve_equilibrium
+from .equilibrium import check_solver_inputs, equilibrium_xhat, log_threshold
 from .errors import MempoolFitsInBlock, ValidationError
 from .mempool import GameParams, Mempool
 
@@ -49,7 +50,7 @@ def base_fee(mempool: Mempool, params: GameParams, mode: str = "xhat_aware") -> 
     if mode == "paper_closed_form":
         xhat = 0.0
     else:
-        xhat = solve_equilibrium(mempool, params, mode="variable").xhat
+        xhat = equilibrium_xhat(mempool, params)
     log_w = log_threshold(xhat, mempool, params)
     w = float(np.exp(log_w))  # the profile's w, bit for bit
     if w >= sys.float_info.min and params.lam <= _LOG_MAX:

@@ -72,6 +72,9 @@ class Mempool:
     the whole representation; ``from_arrays`` is the one constructor.
     """
 
+    # (k, lambda, xhat) of the last solve_equilibrium on this mempool.
+    last_solve: tuple = (None, None, None)
+
     @classmethod
     def from_arrays(cls, ids, gas_prices, sizes=None) -> "Mempool":
         """Build from id, price and (default all-ones) size columns, validating each."""

@@ -2,9 +2,13 @@
 
 The exact construction lays the nonzero marginals out as consecutive
 segments on [0, k] and reads off a block as the segments covering
-{r, r+1, ..., r+k-1} for a uniform r in [0, 1). Each segment has length
-at most 1, so it covers at most one probe position and every draw has
-exactly k transactions. The variable-size path instead draws transactions
+{r, r+1, ..., r+k-1} for a uniform r in [0, 1). The layout's ends run from
+0 to exactly k, and no segment is longer than 1, so each covers at most one
+probe. Probes are never formed in floating point, where r + j can round
+onto a segment end or past k: the probes below a segment end c number
+floor(c) + (frac(c) > r), which is exact, and a segment is covered where
+that count steps up. So every r in [0, 1) gives exactly k distinct
+transactions. The variable-size path instead draws transactions
 independently and rejects draws outside a capacity window.
 """
 
@@ -62,7 +66,10 @@ class MixedStrategy:
 
 
 class SegmentSampler:
-    """Segment layout of a profile, reusable across many draws."""
+    """Segment layout of a profile, reusable across many draws.
+
+    ``cum[i]`` and ``cum[i + 1]`` bound the segment of ``ids[i]``.
+    """
 
     def __init__(self, profile: MarginalProfile, k: int):
         values = np.asarray(profile.values, dtype=np.float64)
@@ -70,18 +77,50 @@ class SegmentSampler:
         if not abs(total - k) <= _SUM_TOL * max(1.0, k):  # NaN fails too
             raise ValidationError(f"profile marginals sum to {total!r}, expected {k}")
         check_marginals(values, "profile marginals")
-        nz = values > 0.0
+        nz = np.flatnonzero(values > 0.0)
         self.k = k
-        self.ids = profile.ids[nz]
-        cum = np.concatenate([[0.0], np.cumsum(values[nz])])
-        cum[-1] = float(k)  # snap drift so probe positions never fall off the end
+        self.ids = profile.ids.take(nz)
+        lengths = values.take(nz)
+        np.minimum(lengths, 1.0, out=lengths)  # check_marginals lets a value pass 1 by 1e-12
+        cum = np.empty(len(nz) + 1)
+        cum[0] = 0.0
+        np.cumsum(lengths, out=cum[1:])
+        # Snap the sum's drift: the last end is exactly k, and any end past k
+        # comes back to k, so the ends never decrease and no probe falls off the end.
+        cum[np.searchsorted(cum[:-1], k):] = k
+        _cap_segments(cum)
         self.cum = cum
+        whole = np.floor(cum)
+        self._whole_steps = (whole[1:] != whole[:-1]).view(np.int8)
+        self._frac = np.subtract(cum, whole, out=whole)
 
     def select_many(self, rs: np.ndarray) -> np.ndarray:
         """(n, k) id matrix: row i holds the segments covering r_i, r_i+1, ..., r_i+k-1."""
-        pos = np.asarray(rs, dtype=np.float64)[:, None] + np.arange(self.k)[None, :]
-        idx = np.searchsorted(self.cum, pos.ravel(), side="right") - 1
-        return self.ids[idx].reshape(len(rs), self.k)
+        rs = np.asarray(rs, dtype=np.float64)
+        # Probes r + j below cum[i]: floor(cum[i]) + (frac(cum[i]) > r); a
+        # segment holds one where that count steps up.
+        above = self._frac > rs[:, None]
+        steps = above[:, 1:].view(np.int8) - above[:, :-1].view(np.int8)
+        steps += self._whole_steps
+        # Every step is 0 or 1, and flatnonzero is much faster on a boolean
+        # array; each row has k hits, so row i's flat indices are offset by i * width.
+        at = np.flatnonzero(steps.view(np.bool_)).reshape(len(rs), self.k)
+        at -= (np.arange(len(rs)) * steps.shape[1])[:, None]
+        return self.ids.take(at)
+
+
+def _cap_segments(cum: np.ndarray):
+    """Raise cum[i] to cum[i + 1] - 1 wherever a segment is longer than 1, from the end.
+
+    Two probes could hit such a segment: rounding in the cumsum can leave
+    one an ulp too long, and the snap to k can lengthen the last by the
+    sum's drift. The subtractions are exact wherever the test passes
+    (cum[i + 1] > 1). With marginals at most 1, cum[0] never needs raising.
+    """
+    for i in np.flatnonzero(cum[1:] - 1.0 > cum[:-1])[::-1].tolist():
+        while i > 0 and cum[i + 1] - 1.0 > cum[i]:
+            cum[i] = cum[i + 1] - 1.0
+            i -= 1
 
 
 def corresponding_strategy(profile: MarginalProfile, k: int) -> MixedStrategy:

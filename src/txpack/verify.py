@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import MarginalProfile, check_marginals
+from .equilibrium import MarginalProfile, check_marginals, log_threshold
 from .errors import ValidationError
 from .mempool import GameParams, Mempool
+
+_TINY = sys.float_info.min  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,11 @@ def best_response(others: MarginalProfile, mempool: Mempool, params: GameParams)
     integer k this is the top-k pure strategy. Returns (tuple of the txids
     with positive weight, in input order; UtilityReport).
     """
-    vt = discounted_prices(others, mempool, params)
+    return _best_response_to(discounted_prices(others, mempool, params), mempool, params)
+
+
+def _best_response_to(vt: np.ndarray, mempool: Mempool, params: GameParams):
+    """best_response against the discounted prices vt, in any positive unit."""
     sizes = mempool.sizes
     order = np.argsort(-vt, kind="stable")  # stable keeps input order on ties
     filled = np.cumsum(sizes[order])
@@ -107,6 +114,9 @@ def verify_equilibrium(
     == w. Violations are measured relative to w, and the best response's
     utility gain relative to the symmetric utility. A profile without a w
     (``w is None``) is checked against one estimated from its discounted prices.
+    Where w, e^(-lambda p) or a discounted price is subnormal or 0, the check
+    compares ln v - lambda p with ln w, and the utilities are taken in units of
+    the largest discounted price.
     """
     p = _own_vector(profile, mempool)
     vt = discounted_prices(profile, mempool, params)
@@ -122,27 +132,46 @@ def verify_equilibrium(
             lo = float(vt[zero].max()) if zero.any() else -math.inf
             hi = float(vt[one].min()) if one.any() else math.inf
             w = 0.5 * (max(lo, 0.0) + hi) if math.isfinite(hi) else max(lo, 1.0)
-    scale = max(abs(w), 1e-300)
+    # e^(-lambda p) is smallest at the largest p.
+    normal = vt.min(initial=math.inf) >= _TINY and np.exp(-params.lam * p.max(initial=0.0)) >= _TINY
+    if normal and (w < 0.0 or w >= _TINY):
+        rel = (vt - w) / max(abs(w), 1e-300)  # discounted price over w, minus 1
+        unit = 1.0
+    else:
+        log_vt = mempool.log_prices - params.lam * p
+        with np.errstate(over="ignore"):  # past e^709.78 times w, the violation is inf
+            rel = np.expm1(log_vt - _log_w(profile, w, mempool, params))
+        top = float(log_vt.max())
+        vt = np.exp(log_vt - top)
+        unit = math.exp(top)
 
     violations = [0.0]
     if interior.any():
-        violations.append(float(np.abs(vt[interior] - w).max()) / scale)
+        violations.append(float(np.abs(rel[interior]).max()))
     if zero.any():
-        violations.append(max(0.0, float(vt[zero].max()) - w) / scale)
+        violations.append(max(0.0, float(rel[zero].max())))
     if one.any():
-        violations.append(max(0.0, w - float(vt[one].min())) / scale)
+        violations.append(max(0.0, -float(rel[one].min())))
     worst = max(violations)
 
-    br_set, br_util = best_response(profile, mempool, params)
-    sym_util = expected_utility(profile, profile, mempool, params)
-    gain = br_util.value - sym_util.value
-    worst = max(worst, gain / max(abs(sym_util.value), 1e-300))
+    br_set, br_util = _best_response_to(vt, mempool, params)
+    sym_util = float(np.sum(p * mempool.sizes * vt))  # expected_utility(profile, profile, ...)
+    gain = br_util.value - sym_util
+    worst = max(worst, gain / max(abs(sym_util), 1e-300))
 
     passes = worst <= tol
     witness = None
     if not passes and gain > 0:
-        witness = {"txids": br_set, "utility_gain": gain}
+        witness = {"txids": br_set, "utility_gain": gain * unit}
     return EquilibriumVerdict(passes, float(w), float(worst), witness)
+
+
+def _log_w(profile: MarginalProfile, w: float, mempool: Mempool, params: GameParams) -> float:
+    """ln w: the solver's log threshold when w is its exp, which keeps the digits w lost."""
+    log_w = log_threshold(profile.xhat, mempool, params)
+    if w == profile.w == float(np.exp(log_w)):
+        return log_w
+    return math.log(w) if w > 0.0 else -math.inf
 
 
 def brute_force_feasible(m: int, k: int) -> bool:

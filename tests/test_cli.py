@@ -42,6 +42,26 @@ def test_sample_deterministic_probe(capsys, golden_mempool_file):
     assert json.loads(out)["txids"] == [2, 3, 5]
 
 
+def test_sample_largest_r_gives_k_distinct_ids(capsys, tmp_path):
+    path = tmp_path / "ten.json"
+    path.write_text(mempool_json(Mempool.from_arrays(range(10), np.exp(np.arange(10) / 10))))
+    rc, out, err = run_cli(
+        capsys, "sample", "--mempool", str(path), "--k", "5", "--lambda", "1",
+        "--r", "0.9999999999999999",
+    )
+    assert rc == 0, err
+    txids = json.loads(out)["txids"]
+    assert len(set(txids)) == 5 and txids == sorted(txids)
+
+
+def test_basefee_exits_1_when_the_mempool_fits_in_one_block(capsys, golden_mempool_file):
+    rc, out, err = run_cli(
+        capsys, "basefee", "--mempool", str(golden_mempool_file), "--k", "8", "--lambda", "1"
+    )
+    assert rc == 1 and out == ""
+    assert err.startswith("error: total capacity 7 < block capacity 8")
+
+
 def test_sample_seeded(capsys, golden_mempool_file):
     args = ("sample", "--mempool", str(golden_mempool_file),
             "--k", "3", "--lambda", "1", "--seed", "11")

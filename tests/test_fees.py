@@ -11,7 +11,7 @@ from txpack import (
     solve_equilibrium,
 )
 
-from conftest import random_sized_mempool
+from conftest import random_sized_mempool, random_unit_mempool
 
 
 def test_golden_xhat_aware(golden_mempool, golden_params):
@@ -117,3 +117,45 @@ def test_errors(golden_mempool):
         base_fee(golden_mempool, GameParams(k=100, lam=1.0))
     with pytest.raises(ValidationError, match="mode"):
         base_fee(golden_mempool, GameParams(k=3, lam=1.0), "bogus")
+
+
+def fresh(mp):
+    """A copy of the mempool that has never been solved."""
+    return Mempool.from_arrays(mp.ids, mp.prices, mp.sizes)
+
+
+@pytest.mark.parametrize("kind", ["unit", "sized"])
+def test_xhat_aware_reuses_the_last_solve_bit_for_bit(kind):
+    rng = np.random.default_rng(77)
+    mp = random_unit_mempool(rng, 300) if kind == "unit" else random_sized_mempool(rng, 300)
+    modes = ("fixed", "variable") if kind == "unit" else ("variable",)
+    grid = [(k, lam) for k in (20, 20.0, 75, 150.0) for lam in (0.5, 3.0)]
+    grid += grid[::-1]  # interleaved: each (k, lambda) follows a solve at other params
+    for mode in modes:
+        for k, lam in grid:
+            params = GameParams(k=k, lam=lam)
+            solve_equilibrium(mp, params, mode=mode)
+            for fee_mode in ("xhat_aware", "paper_closed_form"):
+                assert base_fee(mp, params, fee_mode) == base_fee(fresh(mp), params, fee_mode)
+
+
+def test_xhat_aware_reads_only_a_solve_at_the_same_params():
+    rng = np.random.default_rng(78)
+    mp = random_sized_mempool(rng, 40)
+    params = GameParams(k=0.3 * mp.total_size, lam=2.0)
+    mp.last_solve = (params.k, params.lam, 0.125)  # a solve at these params is taken as is
+    assert base_fee(mp, params).xhat == 0.125
+    for k, lam in ((params.k, 2.5), (0.4 * mp.total_size, params.lam)):
+        other = GameParams(k=k, lam=lam)
+        solve_equilibrium(mp, other, mode="variable")
+        assert base_fee(mp, params) == base_fee(fresh(mp), params)
+        assert base_fee(mp, params).xhat != mp.last_solve[2]
+
+
+def test_xhat_aware_after_an_all_fits_solve():
+    mp = Mempool.from_arrays(range(4), [1.0, 2.0, 3.0, 4.0])
+    params = GameParams(k=4, lam=1.0)  # the whole mempool is one block
+    solve_equilibrium(mp, params)
+    assert base_fee(mp, params) == base_fee(fresh(mp), params)
+    with pytest.raises(MempoolFitsInBlock):
+        base_fee(mp, GameParams(k=5, lam=1.0))

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -146,6 +147,98 @@ class TestSampleBlock:
             freq = (blocks == txid).any(axis=1).mean()
             se = np.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(freq - p) <= 4 * se + 1e-9
+
+
+def rational_selection(cum, ids, r, k):
+    """Ids of the segments [cum[i], cum[i+1]) holding r, r+1, ..., r+k-1, in exact arithmetic."""
+    ends = [Fraction(c) for c in cum]
+    out = []
+    for j in range(k):
+        probe = Fraction(r) + j
+        out.append(int(ids[next(i for i in range(len(ends) - 1) if ends[i] <= probe < ends[i + 1])]))
+    return out
+
+
+LAST_R = 1.0 - 2.0**-53  # the largest r below 1
+
+
+def random_layouts(rng, n):
+    """(values, k) of small profiles: quarter-valued (exact segment ends) or random, with zeros."""
+    while n:
+        m = int(rng.integers(2, 25))
+        if rng.random() < 0.4:
+            quarters = rng.integers(0, 5, m)
+            for i in np.flatnonzero(quarters)[: quarters.sum() % 4]:
+                quarters[i] -= 1  # a whole number of blocks
+            values, k = quarters / 4.0, int(quarters.sum()) // 4
+        else:
+            k = int(rng.integers(1, m))
+            values = rng.random(m) * (rng.random(m) < 0.7)
+            values *= k / max(values.sum(), 1e-300)
+        if k >= 1 and values.max() <= 1.0 and values.sum() == pytest.approx(k, rel=1e-12):
+            n -= 1
+            yield values, k
+
+
+class TestExactSelection:
+    def test_select_many_matches_rational_arithmetic(self):
+        # 18 unit segments end at 18, and the 19th ends at fl(0.37 + 18), which
+        # rounds up: the float probe r + 18 sits on that end and picks the
+        # 20th segment, while the exact probe lies inside the 19th.
+        a = (0.37 + 18.0) - 18.0
+        cases = [(np.array([1.0] * 18 + [a, 1.0 - a]), 19)]
+        rng = np.random.default_rng(2024)
+        cases += list(random_layouts(rng, 300))
+        for values, k in cases:
+            sampler = SegmentSampler(profile_from(values), k)
+            rs = [0.0, 0.25, 0.5, LAST_R, 0.37] + rng.random(3).tolist()
+            rows = sampler.select_many(np.array(rs))
+            for r, row in zip(rs, rows):
+                assert row.tolist() == rational_selection(sampler.cum, sampler.ids, r, k), (values, k, r)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_largest_r_gives_k_distinct_ids(self, k):
+        mp = Mempool.from_arrays(range(10), np.exp(np.arange(10) / 10))
+        profile = solve_equilibrium(mp, GameParams(k=k, lam=1.0))
+        block = sample_block(profile, LAST_R, k=k)
+        assert len(block.ids) == k and len(block.txids) == k
+
+    def test_snapped_drift_repeats_no_id(self):
+        # The first four marginals sum to 4 - 4.4e-10, so snapping the last
+        # end to k would leave a last segment 1 + 4.4e-10 long, and probes
+        # r + 3 and r + 4 would both land in it.
+        profile = profile_from([1.0, 1.0, 1.0, 1.0 - 4.4e-10, 1.0])
+        sampler = SegmentSampler(profile, 5)
+        assert np.all(np.diff(sampler.cum) <= 1.0)
+        for r in (1.0 - 2e-11, LAST_R, 0.0):
+            block = sample_block(profile, r, k=5)
+            assert block.ids.tolist() == [1, 2, 3, 4, 5]
+
+    def test_ends_past_k_are_pulled_back(self):
+        # The marginals sum to k + 1e-10, within tolerance, so the tiny last
+        # one starts past k: its segment becomes empty and is never selected.
+        profile = profile_from([0.5 + 5e-11, 0.5 + 5e-11, 1.0, 1e-13])
+        sampler = SegmentSampler(profile, 2)
+        assert sampler.cum[-2:].tolist() == [2.0, 2.0] and np.all(np.diff(sampler.cum) >= 0.0)
+        for r in (0.0, 0.5, LAST_R):
+            ids = sample_block(profile, r, k=2).ids.tolist()
+            assert ids == sorted(rational_selection(sampler.cum, sampler.ids, r, 2))
+            assert len(set(ids)) == 2 and 4 not in ids
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sample_block_is_the_atom_holding_r(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        mp = random_unit_mempool(rng, int(rng.integers(5, 40)))
+        k = int(rng.integers(1, len(mp)))
+        profile = solve_equilibrium(mp, GameParams(k=k, lam=float(rng.uniform(0.2, 3))))
+        strat = corresponding_strategy(profile, k)
+        starts = np.array([a for a, _ in strat.intervals])
+        breaks = np.concatenate([starts, [1.0]])
+        for r in rng.random(400):
+            if np.abs(breaks - r).min() <= 1e-12:
+                continue
+            atom = strat.atom_txids[int(np.searchsorted(starts, r, side="right")) - 1]
+            assert sample_block(profile, float(r), k=k).txids == atom
 
 
 class TestRejectionSampler:

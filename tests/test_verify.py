@@ -150,6 +150,37 @@ class TestVerifyEquilibrium:
         verdict = verify_equilibrium(profile, mp, params)
         assert verdict.passes, verdict
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["unit", "sized"])
+    def test_solver_profile_passes_where_exponentials_leave_the_float_range(self, kind):
+        # lambda near 1e3 and log prices up to +-300: w, e^(-lambda p) or
+        # v e^(-lambda p) is subnormal or 0 while ln w stays finite.
+        rng = np.random.default_rng(11 if kind == "unit" else 12)
+        out_of_range = 0
+        for _ in range(150):
+            m = int(rng.integers(2, 40))
+            span = float(rng.uniform(100, 300))
+            sizes = None if kind == "unit" else rng.uniform(0.2, 4.0, m)
+            mp = Mempool.from_arrays(range(m), np.exp(rng.uniform(-span, span, m)), sizes)
+            k = float(rng.uniform(0.05, 0.95)) * mp.total_size
+            params = GameParams(k=max(1, int(k)) if kind == "unit" else k, lam=float(rng.uniform(700, 1000)))
+            profile = solve_equilibrium(mp, params, mode="fixed" if kind == "unit" else "variable")
+            out_of_range += profile.w < 2.2250738585072014e-308 or np.exp(-params.lam * profile.values.max()) == 0.0
+            verdict = verify_equilibrium(profile, mp, params)
+            assert verdict.passes, (m, params, verdict)
+        assert out_of_range > 25
+
+    def test_large_lambda_check_is_not_vacuous(self):
+        # w = 0 in floats: every discounted price underflows, but ln w does not
+        mp = Mempool.from_arrays(range(4), np.exp(np.arange(4) / 3))
+        params = GameParams(k=3, lam=1000.0)
+        profile = solve_equilibrium(mp, params)
+        assert profile.w == 0.0
+        assert verify_equilibrium(profile, mp, params).passes
+        moved = replace(profile, values=profile.values + [0.001, -0.001, 0.0, 0.0])
+        verdict = verify_equilibrium(moved, mp, params)
+        assert not verdict.passes and verdict.worst_violation > 0.5
+
     def test_zero_w_is_a_threshold_not_absent(self, golden_mempool, golden_params):
         profile = solve_equilibrium(golden_mempool, golden_params)
         absent = verify_equilibrium(replace(profile, w=None), golden_mempool, golden_params)

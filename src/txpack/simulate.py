@@ -55,8 +55,8 @@ class _ProfileSource:
     """
 
     def __init__(self, profile: MarginalProfile, k: int, mempool: Mempool):
-        # Segments labelled by mempool position, so selection needs no id lookup.
-        self.sampler = SegmentSampler(replace(profile, ids=mempool.positions(profile.ids)), k)
+        # Both profiles list mempool.ids in order: segments labelled by position need no id lookup.
+        self.sampler = SegmentSampler(replace(profile, ids=np.arange(len(mempool))), k)
         self.k = k
 
     def tokens(self, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -130,7 +130,7 @@ def corresponding_strategy(profile: MarginalProfile, k: int) -> MixedStrategy:
     segment layout; all r in one interval select the same k-subset.
     """
     sampler = SegmentSampler(profile, k)
-    frac = sampler.cum - np.floor(sampler.cum)
+    frac = sampler._frac
     breaks = np.unique(np.concatenate([[0.0, 1.0], frac[(frac > 0.0) & (frac < 1.0)]]))
     # Rounding can split one logical breakpoint into neighbors 1 ulp apart;
     # collapse anything closer than the marginal-reproduction tolerance.

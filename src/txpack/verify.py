@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import MarginalProfile, check_marginals, log_threshold
+from .equilibrium import MarginalProfile, log_threshold
 from .errors import ValidationError
 from .mempool import GameParams, Mempool
 
@@ -52,29 +52,30 @@ class EquilibriumVerdict:
         return doc
 
 
-def _own_vector(own, mempool: Mempool) -> np.ndarray:
-    """Checked marginals in mempool order from a profile, a mapping or an id-set (absent ids: 0)."""
-    if isinstance(own, MarginalProfile):
-        return own.values_for(mempool)
-    p = np.zeros(len(mempool))
-    if isinstance(own, dict):
-        p[mempool.positions(own.keys())] = np.fromiter(own.values(), np.float64, len(own))
-        check_marginals(p, "own marginals")
-    else:
-        p[mempool.positions(own)] = 1.0
-    return p
+def _discounted(others: MarginalProfile, mempool: Mempool, params: GameParams):
+    """(q, vt, top): the opponents' checked marginals q, and v e^(-lambda q) as vt e^top.
+
+    top is 0, and vt the linear product, while e^(-lambda max q) and every
+    discounted price are normal floats. Otherwise vt = exp(ln v - lambda q - top),
+    with top the largest log discounted price, so the largest vt is 1. The
+    oracles work in vt units and multiply by e^top only in the absolute
+    utilities they report.
+    """
+    q = others.values_for(mempool)
+    vt = mempool.prices * np.exp(-params.lam * q)
+    # e^(-lambda q) is smallest at the largest q.
+    if vt.min(initial=math.inf) >= _TINY and np.exp(-params.lam * q.max(initial=0.0)) >= _TINY:
+        return q, vt, 0.0
+    log_vt = mempool.log_prices - params.lam * q
+    top = float(log_vt.max())
+    return q, np.exp(log_vt - top), top
 
 
-def discounted_prices(others: MarginalProfile, mempool: Mempool, params: GameParams) -> np.ndarray:
-    """v(tx) * exp(-lambda * q(tx)) against opponents' marginals q."""
-    q = _own_vector(others, mempool)
-    return mempool.prices * np.exp(-params.lam * q)
-
-
-def expected_utility(own, others: MarginalProfile, mempool: Mempool, params: GameParams) -> UtilityReport:
-    p_own = _own_vector(own, mempool)
-    contributions = p_own * mempool.sizes * discounted_prices(others, mempool, params)
-    return UtilityReport(float(np.sum(contributions)))
+def expected_utility(own: MarginalProfile, others: MarginalProfile, mempool: Mempool,
+                     params: GameParams) -> UtilityReport:
+    p_own = own.values_for(mempool)
+    _, vt, top = _discounted(others, mempool, params)
+    return UtilityReport(float(np.sum(p_own * mempool.sizes * vt)) * math.exp(top))
 
 
 def best_response(others: MarginalProfile, mempool: Mempool, params: GameParams):
@@ -85,11 +86,13 @@ def best_response(others: MarginalProfile, mempool: Mempool, params: GameParams)
     integer k this is the top-k pure strategy. Returns (tuple of the txids
     with positive weight, in input order; UtilityReport).
     """
-    return _best_response_to(discounted_prices(others, mempool, params), mempool, params)
+    _, vt, top = _discounted(others, mempool, params)
+    txids, value = _best_response_to(vt, mempool, params)
+    return txids, UtilityReport(value * math.exp(top))
 
 
 def _best_response_to(vt: np.ndarray, mempool: Mempool, params: GameParams):
-    """best_response against the discounted prices vt, in any positive unit."""
+    """(txids, utility) of best_response against the discounted prices vt, in vt's unit."""
     sizes = mempool.sizes
     order = np.argsort(-vt, kind="stable")  # stable keeps input order on ties
     filled = np.cumsum(sizes[order])
@@ -100,8 +103,7 @@ def _best_response_to(vt: np.ndarray, mempool: Mempool, params: GameParams):
         room = params.k - (filled[n_whole - 1] if n_whole else 0.0)
         p_own[order[n_whole]] = min(1.0, room / sizes[order[n_whole]])
     contributions = p_own * sizes * vt
-    txids = tuple(mempool.ids[p_own > 0.0].tolist())
-    return txids, UtilityReport(float(np.sum(contributions)))
+    return tuple(mempool.ids[p_own > 0.0].tolist()), float(np.sum(contributions))
 
 
 def verify_equilibrium(
@@ -114,36 +116,34 @@ def verify_equilibrium(
     == w. Violations are measured relative to w, and the best response's
     utility gain relative to the symmetric utility. A profile without a w
     (``w is None``) is checked against one estimated from its discounted prices.
-    Where w, e^(-lambda p) or a discounted price is subnormal or 0, the check
-    compares ln v - lambda p with ln w, and the utilities are taken in units of
-    the largest discounted price.
+    Where the discounted prices are rescaled (see ``_discounted``) or w is
+    subnormal or 0, the check compares ln v - lambda p with ln w.
     """
-    p = _own_vector(profile, mempool)
-    vt = discounted_prices(profile, mempool, params)
+    p, vt, top = _discounted(profile, mempool, params)
     zero = p <= 0.0
     one = p >= 1.0
     interior = ~zero & ~one
 
-    w = profile.w
-    if w is None:
+    w, log_w = profile.w, None
+    if w is None:  # estimated in vt units
         if interior.any():
             w = float(np.median(vt[interior]))
         else:
             lo = float(vt[zero].max()) if zero.any() else -math.inf
             hi = float(vt[one].min()) if one.any() else math.inf
             w = 0.5 * (max(lo, 0.0) + hi) if math.isfinite(hi) else max(lo, 1.0)
-    # e^(-lambda p) is smallest at the largest p.
-    normal = vt.min(initial=math.inf) >= _TINY and np.exp(-params.lam * p.max(initial=0.0)) >= _TINY
-    if normal and (w < 0.0 or w >= _TINY):
+        log_w = math.log(w) + top if w > 0.0 else -math.inf
+        if top != 0.0:
+            w = math.exp(log_w)
+    if top == 0.0 and (w < 0.0 or w >= _TINY):
         rel = (vt - w) / max(abs(w), 1e-300)  # discounted price over w, minus 1
-        unit = 1.0
     else:
-        log_vt = mempool.log_prices - params.lam * p
+        if log_w is None:  # the solver's log threshold, where w is its exp, keeps the digits w lost
+            log_w = log_threshold(profile.xhat, mempool, params)
+            if w != float(np.exp(log_w)):
+                log_w = math.log(w) if w > 0.0 else -math.inf
         with np.errstate(over="ignore"):  # past e^709.78 times w, the violation is inf
-            rel = np.expm1(log_vt - _log_w(profile, w, mempool, params))
-        top = float(log_vt.max())
-        vt = np.exp(log_vt - top)
-        unit = math.exp(top)
+            rel = np.expm1(mempool.log_prices - params.lam * p - log_w)
 
     violations = [0.0]
     if interior.any():
@@ -156,22 +156,14 @@ def verify_equilibrium(
 
     br_set, br_util = _best_response_to(vt, mempool, params)
     sym_util = float(np.sum(p * mempool.sizes * vt))  # expected_utility(profile, profile, ...)
-    gain = br_util.value - sym_util
+    gain = br_util - sym_util
     worst = max(worst, gain / max(abs(sym_util), 1e-300))
 
     passes = worst <= tol
     witness = None
     if not passes and gain > 0:
-        witness = {"txids": br_set, "utility_gain": gain * unit}
+        witness = {"txids": br_set, "utility_gain": gain * math.exp(top)}
     return EquilibriumVerdict(passes, float(w), float(worst), witness)
-
-
-def _log_w(profile: MarginalProfile, w: float, mempool: Mempool, params: GameParams) -> float:
-    """ln w: the solver's log threshold when w is its exp, which keeps the digits w lost."""
-    log_w = log_threshold(profile.xhat, mempool, params)
-    if w == profile.w == float(np.exp(log_w)):
-        return log_w
-    return math.log(w) if w > 0.0 else -math.inf
 
 
 def brute_force_feasible(m: int, k: int) -> bool:
@@ -198,8 +190,8 @@ def brute_force_check(
     m = len(mempool)
     if not brute_force_feasible(m, k):
         raise ValidationError(f"instance too large for enumeration (m={m}, k={k})")
-    vt = discounted_prices(profile, mempool, params)
-    sym = expected_utility(profile, profile, mempool, params).value
+    p, vt, top = _discounted(profile, mempool, params)
+    sym = float(np.sum(p * vt))  # expected_utility(profile, profile, ...) in vt units
 
     best_gain = -math.inf
     best_set: tuple = ()
@@ -209,14 +201,15 @@ def brute_force_check(
             best_gain = u - sym
             best_set = combo
     passes = best_gain <= BRUTE_FORCE_TOL * abs(sym)
+    unit = math.exp(top)
     witness = None
     if not passes:
         witness = {
             "txids": tuple(int(mempool.ids[i]) for i in best_set),
-            "utility_gain": best_gain,
+            "utility_gain": best_gain * unit,
         }
     w = float("nan") if profile.w is None else profile.w
-    return EquilibriumVerdict(passes, w, float(max(best_gain, 0.0)), witness)
+    return EquilibriumVerdict(passes, w, float(max(best_gain, 0.0)) * unit, witness)
 
 
 def greedy_profile(mempool: Mempool, params: GameParams) -> MarginalProfile:

@@ -164,6 +164,25 @@ def test_verify_external_profile_with_witness(capsys, tmp_path, golden_mempool_f
     assert out == NO_W_PROFILE_STDOUT
 
 
+def test_verify_profile_without_w_at_large_lambda(capsys, tmp_path):
+    # Every discounted price underflows in floats; the estimated w must still be checkable.
+    mempool_path = tmp_path / "pool.json"
+    mempool_path.write_text(mempool_json(Mempool.from_arrays(range(4), np.exp(np.arange(4) / 3))))
+    game = ("--mempool", str(mempool_path), "--k", "3", "--lambda", "1000")
+    rc, out, _ = run_cli(capsys, "equilibrium", *game)
+    assert rc == 0
+    profile = json.loads(out)
+    del profile["w"]
+    ppath = tmp_path / "profile.json"
+    ppath.write_text(json.dumps(profile))
+    rc, out, _ = run_cli(capsys, "verify", *game, "--profile", str(ppath))
+    assert rc == 0
+    doc = json.loads(out)
+    # The 12 digits the marginals are written with leave about 1e-13 * lambda of violation.
+    assert doc["passes"] is True and 0.0 <= doc["worst_violation"] < 1e-9
+    assert doc["brute_force"]["passes"] is True
+
+
 def test_simulate_subcommand(capsys, golden_mempool_file, tmp_path):
     out_path = tmp_path / "report.json"
     args = ("simulate", "--mempool", str(golden_mempool_file), "--k", "3", "--lambda", "1",

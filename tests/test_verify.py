@@ -1,7 +1,10 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from txpack import (
     GameParams,
@@ -23,6 +26,16 @@ EQ_UTILITY = 2 * np.exp(-1 / 3) + 1  # two units of interior mass at w, plus tx2
 GREEDY_UTILITY = (np.e + np.exp(5 / 12) + 1) * np.exp(-1)
 
 
+def own_profile(mempool, values):
+    """Own marginals, in mempool order, as a profile without a threshold."""
+    return MarginalProfile(mempool.ids, np.asarray(values, dtype=np.float64), 0.0, None)
+
+
+def pure(mempool, txids):
+    """The pure strategy that packages exactly txids."""
+    return own_profile(mempool, np.isin(mempool.ids, list(txids)))
+
+
 class TestExpectedUtility:
     def test_golden_equilibrium_value(self, golden_mempool, golden_params):
         profile = solve_equilibrium(golden_mempool, golden_params)
@@ -39,12 +52,12 @@ class TestExpectedUtility:
         mp = Mempool.from_arrays([0], [3.0])
         params = GameParams(k=1, lam=2.0)
         profile = MarginalProfile(mp.ids, np.array([1.0]), 0.0, 0.0)
-        report = expected_utility({0}, profile, mp, params)
+        report = expected_utility(pure(mp, {0}), profile, mp, params)
         assert report.value == pytest.approx(3.0 * np.exp(-2.0), rel=1e-12)
 
     def test_pure_set_input(self, golden_mempool, golden_params):
         profile = solve_equilibrium(golden_mempool, golden_params)
-        report = expected_utility({2, 3, 5}, profile, golden_mempool, golden_params)
+        report = expected_utility(pure(golden_mempool, {2, 3, 5}), profile, golden_mempool, golden_params)
         by_hand = sum(
             golden_mempool.prices[i] * np.exp(-profile.values[i])
             for i in (1, 2, 4)
@@ -57,10 +70,10 @@ class TestExpectedUtility:
         with pytest.raises(ValidationError):
             expected_utility(profile, profile, other, golden_params)
 
-    @pytest.mark.parametrize("own", [{2, 99}, {2: 1.0, 99: 0.5}], ids=["id-set", "mapping"])
-    def test_unknown_id_rejected(self, golden_mempool, golden_params, own):
+    def test_unknown_id_rejected(self, golden_mempool, golden_params):
         profile = solve_equilibrium(golden_mempool, golden_params)
-        with pytest.raises(ValidationError, match="unknown transaction id 99"):
+        own = replace(profile, ids=np.where(profile.ids == 7, 99, profile.ids))
+        with pytest.raises(ValidationError, match="profile does not match the mempool"):
             expected_utility(own, profile, golden_mempool, golden_params)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5])
@@ -69,16 +82,9 @@ class TestExpectedUtility:
         values = good.values.copy()
         values[0] = bad
         profile = replace(good, values=values)
-        for own, others in [(profile, profile), (good, profile), ({1: bad}, good)]:
+        for own, others in [(profile, profile), (good, profile), (profile, good)]:
             with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
                 expected_utility(own, others, golden_mempool, golden_params)
-
-    def test_mapping_leaves_absent_ids_at_zero(self, golden_mempool, golden_params):
-        profile = solve_equilibrium(golden_mempool, golden_params)
-        as_map = expected_utility({5: 1.0, 2: 1.0}, profile, golden_mempool, golden_params)
-        as_set = expected_utility({2, 5}, profile, golden_mempool, golden_params)
-        explicit = expected_utility({5: 1.0, 2: 1.0, 7: 0.0}, profile, golden_mempool, golden_params)
-        assert as_map.value == as_set.value == explicit.value
 
     @pytest.mark.parametrize("seed", range(5))
     def test_linearity_in_own_marginals(self, seed):
@@ -89,10 +95,9 @@ class TestExpectedUtility:
         a = rng.random(12)
         b = rng.random(12)
         t = float(rng.random())
-        mix = {int(i): float(v) for i, v in zip(mp.ids, t * a + (1 - t) * b)}
-        ua = expected_utility({int(i): float(v) for i, v in zip(mp.ids, a)}, others, mp, params).value
-        ub = expected_utility({int(i): float(v) for i, v in zip(mp.ids, b)}, others, mp, params).value
-        um = expected_utility(mix, others, mp, params).value
+        ua = expected_utility(own_profile(mp, a), others, mp, params).value
+        ub = expected_utility(own_profile(mp, b), others, mp, params).value
+        um = expected_utility(own_profile(mp, t * a + (1 - t) * b), others, mp, params).value
         assert um == pytest.approx(t * ua + (1 - t) * ub, abs=1e-12)
 
 
@@ -150,7 +155,6 @@ class TestVerifyEquilibrium:
         verdict = verify_equilibrium(profile, mp, params)
         assert verdict.passes, verdict
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kind", ["unit", "sized"])
     def test_solver_profile_passes_where_exponentials_leave_the_float_range(self, kind):
         # lambda near 1e3 and log prices up to +-300: w, e^(-lambda p) or
@@ -180,6 +184,17 @@ class TestVerifyEquilibrium:
         moved = replace(profile, values=profile.values + [0.001, -0.001, 0.0, 0.0])
         verdict = verify_equilibrium(moved, mp, params)
         assert not verdict.passes and verdict.worst_violation > 0.5
+
+    def test_estimated_w_at_large_lambda(self):
+        # Every discounted price underflows in floats, so w is estimated from the rescaled ones.
+        mp = Mempool.from_arrays(range(4), np.exp(np.arange(4) / 3))
+        params = GameParams(k=3, lam=1000.0)
+        absent = replace(solve_equilibrium(mp, params), w=None)
+        verdict = verify_equilibrium(absent, mp, params)
+        assert verdict.passes and verdict.worst_violation == pytest.approx(0.0, abs=1e-12)
+        moved = replace(absent, values=absent.values + [0.001, -0.001, 0.0, 0.0])
+        verdict = verify_equilibrium(moved, mp, params)
+        assert not verdict.passes and 0.5 < verdict.worst_violation < math.inf
 
     def test_zero_w_is_a_threshold_not_absent(self, golden_mempool, golden_params):
         profile = solve_equilibrium(golden_mempool, golden_params)
@@ -219,7 +234,7 @@ class TestBruteForce:
         # the improving set swaps in an untouched price-1 transaction
         assert gain_set & {5, 6}
         sym = expected_utility(greedy, greedy, golden_mempool, golden_params).value
-        dev = expected_utility(gain_set, greedy, golden_mempool, golden_params).value
+        dev = expected_utility(pure(golden_mempool, gain_set), greedy, golden_mempool, golden_params).value
         assert dev - sym == pytest.approx(verdict.witness["utility_gain"], abs=1e-12)
 
     def test_uniform_on_equal_prices_passes(self):
@@ -278,6 +293,46 @@ def test_verdicts_do_not_depend_on_the_price_unit():
     assert verdicts == [(False, False)] * 4
     assert worst == pytest.approx([worst[0]] * 4, rel=1e-9)
     assert gain_per_c == pytest.approx([gain_per_c[0]] * 4, rel=1e-9) and gain_per_c[0] > 0.2
+
+
+@st.composite
+def unit_games(draw):
+    """(prices, k, lambda): 2-10 prices e^x with |x| <= 300, 1 <= k < m, lambda log-uniform in [1e-3, 1e3]."""
+    log_prices = draw(st.lists(st.floats(-300.0, 300.0), min_size=2, max_size=10))
+    k = draw(st.integers(1, len(log_prices) - 1))
+    lam = math.exp(draw(st.floats(math.log(1e-3), math.log(1e3))))
+    return [math.exp(x) for x in log_prices], k, lam
+
+
+@settings(max_examples=200, deadline=None)
+@given(game=unit_games(), log_scale=st.floats(-300.0, 300.0))
+@example(  # linear discounted prices here give a subnormal utility, and a gain of 6.37e-308 above it
+    game=([7.582583492005529e-06, 1.3664060737627034e-117, 1.23837654161204e-38, 7.5019013974531345e+81],
+          3, 876.9348365907948),
+    log_scale=-200.0,
+)
+def test_oracles_pass_the_solver_and_agree_off_it(game, log_scale):
+    # Moving 0.1 or more of mass from the dearest transaction to the cheapest
+    # gives a gain of at least 1e-6 of the utility, far above both tolerances,
+    # so the oracles must agree there, and scaling every price must not
+    # change either verdict.
+    prices, k, lam = game
+    params = GameParams(k=k, lam=lam)
+    verdicts = []
+    for scale in (1.0, math.exp(log_scale)):
+        mp = Mempool.from_arrays(range(len(prices)), np.multiply(prices, scale))
+        solved = solve_equilibrium(mp, params)
+        order = np.argsort(mp.log_prices, kind="stable")
+        cheap, dear = order[0], order[-1]
+        delta = min(0.2, solved.values[dear], 1.0 - solved.values[cheap])
+        values = solved.values.copy()
+        values[[dear, cheap]] += [-delta, delta]
+        moved = replace(solved, values=values)
+        verdicts.append([
+            (verify_equilibrium(q, mp, params).passes, brute_force_check(mp, params, q).passes)
+            for q in (solved, moved)
+        ])
+    assert verdicts[0] == verdicts[1] == [(True, True), (False, False)]
 
 
 def test_greedy_strictly_dominated(golden_mempool, golden_params):

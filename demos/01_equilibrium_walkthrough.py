@@ -8,13 +8,13 @@ then shifts and clamps them so they use exactly the block capacity.
 
 import numpy as np
 
-from txpack import GameParams, Mempool, compute_phat, solve_equilibrium
+from txpack import GameParams, Mempool, compute_phat_real, solve_equilibrium
 
 prices = [1.0, np.exp(1), np.exp(-1 / 12), np.exp(5 / 12), 1.0, 1.0, np.exp(-3)]
 mempool = Mempool.from_arrays(np.arange(1, len(prices) + 1), prices)
 params = GameParams(k=3, lam=1.0)
 
-raw = compute_phat(mempool, params)
+raw = compute_phat_real(mempool, params)
 profile = solve_equilibrium(mempool, params)
 
 print(f"{'tx':>3} {'v(tx)':>10} {'raw p':>10} {'equilibrium p':>14}")

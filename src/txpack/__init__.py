@@ -2,7 +2,8 @@
 
 Library layout:
 
-- mempool:     the mempool as validated columns, game parameters, JSON ingestion
+- mempool:     the mempool as validated columns, game parameters, fixed mode's
+               block rule, JSON ingestion
 - equilibrium: closed-form marginals, clamp-threshold solver, profiles
 - strategy:    explicit mixed strategies and block samplers
 - fees:        endogenous base-fee bounds
@@ -14,7 +15,6 @@ Library layout:
 from .equilibrium import (
     MarginalProfile,
     clamp_marginals,
-    compute_phat,
     compute_phat_real,
     solve_equilibrium,
     solve_xhat,
@@ -28,7 +28,7 @@ from .errors import (
     ZeroLatencyError,
 )
 from .fees import FeeBounds, base_fee
-from .mempool import GameParams, Mempool, load_mempool
+from .mempool import GameParams, Mempool, fixed_block_size, load_mempool
 from .simulate import ExperimentReport, run_experiment
 from .strategy import (
     Block,

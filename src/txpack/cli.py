@@ -22,7 +22,14 @@ import numpy as np
 from .equilibrium import MarginalProfile, solve_equilibrium
 from .errors import InvariantViolation, TxpackError, ValidationError
 from .fees import base_fee
-from .mempool import GameParams, Mempool, load_mempool_file, number_column
+from .mempool import (
+    GameParams,
+    Mempool,
+    fixed_block_size,
+    load_mempool_file,
+    number_column,
+    read_records,
+)
 from .simulate import run_experiment
 from .strategy import rejection_sample_block, sample_block
 from .verify import brute_force_check, brute_force_feasible, verify_equilibrium
@@ -139,18 +146,8 @@ def _load(args):
 
 def _load_profile(path, mempool: Mempool) -> MarginalProfile:
     """The profile file as a profile in mempool order; a malformed one raises ValidationError."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as e:  # bad UTF-8 or JSON, or an int literal past the digit limit
-            raise ValidationError(f"malformed profile JSON: {e}") from e
-    if not (isinstance(doc, dict) and isinstance(doc.get("marginals"), list)):
-        raise ValidationError('profile JSON must be an object with a "marginals" array')
-    try:
-        ids = [rec["id"] for rec in doc["marginals"]]
-        ps = [rec["p"] for rec in doc["marginals"]]
-    except (TypeError, KeyError) as e:
-        raise ValidationError(f'every marginal record needs "id" and "p": {e!r}') from e
+    with open(path, "rb") as fh:
+        doc, (ids, ps) = read_records(fh, "profile", "marginals", {"id": None, "p": None})
     pos = mempool.positions(ids)
     if not np.array_equal(np.sort(pos), np.arange(len(mempool))):
         raise ValidationError("profile must list every mempool transaction id exactly once")
@@ -187,7 +184,7 @@ def cmd_sample(args):
         if r is None:
             r = float(np.random.default_rng(_seed(args)).random())
         profile = solve_equilibrium(mempool, params, mode=args.mode)
-        block = sample_block(profile, r, k=params.block_size(len(mempool)))
+        block = sample_block(profile, r, k=fixed_block_size(mempool, params))
         doc = {"txids": block.ids.tolist(), "used_capacity": float(block.used_capacity)}
     _emit(doc, args.out)
 
@@ -200,15 +197,14 @@ def cmd_basefee(args):
 
 def cmd_verify(args):
     mempool, params = _load(args)
+    k = fixed_block_size(mempool, params) if args.mode == "fixed" else None
     if args.profile:
-        if args.mode == "fixed":  # the solver makes this check itself
-            mempool.require_unit_size()
         profile = _load_profile(args.profile, mempool)
     else:
         profile = solve_equilibrium(mempool, params, mode=args.mode)
     doc = verify_equilibrium(profile, mempool, params, tol=args.tol).to_json_dict()
     # The enumeration checks unit-size k-subsets, which is fixed mode's game only.
-    if args.mode == "fixed" and brute_force_feasible(len(mempool), int(params.k)):
+    if k is not None and brute_force_feasible(len(mempool), k):
         doc["brute_force"] = brute_force_check(mempool, params, profile).to_json_dict()
     _emit(doc, args.out)  # a failing verdict is still a successful run: exit 0
 

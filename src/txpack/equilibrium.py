@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, MempoolFitsInBlock, ValidationError, ZeroLatencyError
-from .mempool import GameParams, Mempool
+from .mempool import GameParams, Mempool, fixed_block_size
 
 BUDGET_RTOL = 1e-9
 
@@ -58,22 +58,12 @@ def check_solver_inputs(mempool: Mempool, params: GameParams):
         raise ZeroLatencyError()
 
 
-def compute_phat(mempool: Mempool, params: GameParams) -> np.ndarray:
-    """Raw equilibrium marginals for unit-size transactions, in mempool order.
-
-    p(tx) = k/m + (ln v(tx) - mean ln v) / lambda: the unit-size case of
-    compute_phat_real. The float64 array sums to k but individual entries
-    may lie outside [0,1].
-    """
-    mempool.require_unit_size()
-    return compute_phat_real(mempool, params)
-
-
 def compute_phat_real(mempool: Mempool, params: GameParams) -> np.ndarray:
-    """Raw marginals for arbitrary positive sizes, as a float64 array in mempool order.
+    """Raw marginals, as a float64 array in mempool order; entries may leave [0, 1].
 
     p(tx) = k/S + (ln v(tx) - wmean) / lambda, with S the total size and
     wmean the size-weighted mean log price, so sum of s(tx)*p(tx) equals k.
+    With unit sizes this is k/m + (ln v(tx) - mean ln v) / lambda.
     """
     check_solver_inputs(mempool, params)
     shifted = mempool.log_prices - mempool.mean_log_price
@@ -254,18 +244,17 @@ def clamp_marginals(
 def solve_equilibrium(mempool: Mempool, params: GameParams, mode: str = "fixed") -> MarginalProfile:
     """End-to-end equilibrium profile for a mempool.
 
-    mode="fixed" requires unit sizes and integer k; mode="variable" allows
-    arbitrary positive sizes. A mempool that fits entirely in one block
-    yields the all-ones profile rather than an error. Each solve leaves
-    (k, lambda, xhat) on ``mempool.last_solve`` for ``equilibrium_xhat``.
+    mode="fixed" plays fixed mode's game (``fixed_block_size``: integer k and
+    unit sizes); mode="variable" allows arbitrary positive sizes. A mempool
+    that fits entirely in one block yields the all-ones profile rather than
+    an error. Each solve leaves (k, lambda, xhat) on ``mempool.last_solve``
+    for ``equilibrium_xhat``.
     """
     if mode == "fixed":
-        params.require_integer_k()
-        raw = compute_phat(mempool, params)
-    elif mode == "variable":
-        raw = compute_phat_real(mempool, params)
-    else:
+        fixed_block_size(mempool, params)
+    elif mode != "variable":
         raise ValidationError(f"unknown mode {mode!r}")
+    raw = compute_phat_real(mempool, params)
     xhat = _shift(raw, mempool, params)
     if mempool.total_size <= params.k:
         w = threshold(xhat, mempool, params)

@@ -3,11 +3,13 @@
 Wire format: ``{"transactions": [{"id": int, "gas_price": num, "size": num}, ...]}``
 with ``size`` defaulting to 1.0. Input order is preserved and acts as the
 canonical tie-break order everywhere else in the package. ``load_mempool``
-parses the wire format into columns, and ``Mempool.from_arrays``, the one
+parses the wire format into columns with ``read_records``, the JSON record
+reader the CLI's profiles share, and ``Mempool.from_arrays``, the one
 constructor, applies one rule set to them: ids are unique, non-negative,
 non-boolean 64-bit integers; ``gas_price`` and ``size`` are ints or floats
 (not booleans or strings), finite and > 0. A violation raises
-ValidationError naming the offending id.
+ValidationError naming the offending id. ``fixed_block_size`` is fixed
+mode's one rule: integer k, unit sizes, and min(k, m) transactions a block.
 """
 
 from __future__ import annotations
@@ -110,15 +112,6 @@ class Mempool:
     def is_unit_size(self) -> bool:
         return bool(np.all(self.sizes == 1.0))
 
-    def require_unit_size(self):
-        """Fixed mode's check: ValidationError naming the first transaction whose size is not 1."""
-        if not self.is_unit_size:
-            i = int(np.argmax(self.sizes != 1.0))
-            raise ValidationError(
-                f"fixed mode requires unit sizes, but transaction {self.ids[i]} has size "
-                f"{float(self.sizes[i])!r}; use variable mode for sized transactions"
-            )
-
     @cached_property
     def price_order(self) -> tuple:
         """The solver's table, built once: (order, size_sums, log_sums).
@@ -175,14 +168,53 @@ class GameParams:
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValidationError(f"lambda must be finite and >= 0, got {self.lam!r}")
 
-    def require_integer_k(self):
-        if self.k != int(self.k):
-            raise ValidationError(f"fixed-size mode requires integer k, got {self.k!r}")
-        return int(self.k)
 
-    def block_size(self, m: int) -> int:
-        """Transactions in one fixed-mode block over m transactions: min(k, m)."""
-        return min(self.require_integer_k(), m)
+def fixed_block_size(mempool: Mempool, params: GameParams) -> int:
+    """Fixed mode's game: blocks of k unit-size transactions, so each holds min(k, m).
+
+    A fractional k, and then a transaction whose size is not 1, raises
+    ValidationError; every fixed-mode entry point applies this one rule.
+    """
+    if params.k != int(params.k):
+        raise ValidationError(f"fixed-size mode requires integer k, got {params.k!r}")
+    if not mempool.is_unit_size:
+        i = int(np.argmax(mempool.sizes != 1.0))
+        raise ValidationError(
+            f"fixed mode requires unit sizes, but transaction {mempool.ids[i]} has size "
+            f"{float(mempool.sizes[i])!r}; use variable mode for sized transactions"
+        )
+    return min(int(params.k), len(mempool))
+
+
+def read_records(source, what: str, key: str, fields: dict) -> tuple:
+    """(document, columns) of a JSON object holding an array of records under ``key``.
+
+    ``source`` is a file-like object, bytes or str; bytes are decoded as
+    strict UTF-8. ``fields`` maps each field to its default, or to None for
+    a field every record must hold, and ``columns`` lists each field's
+    values in record order. A malformed document raises ValidationError
+    naming ``what``.
+    """
+    raw = source.read() if hasattr(source, "read") else source
+    try:
+        if isinstance(raw, bytes):
+            raw = raw.decode("utf-8")
+        doc = json.loads(raw)
+    except ValueError as e:  # bad UTF-8 or JSON, or an int literal past the digit limit
+        raise ValidationError(f"malformed {what} JSON: {e}") from e
+    if not (isinstance(doc, dict) and isinstance(doc.get(key), list)):
+        raise ValidationError(f'{what} JSON must be an object with a "{key}" array')
+    records = doc[key]
+    try:
+        columns = [
+            [rec[f] for rec in records] if default is None
+            else [rec.get(f, default) for rec in records]
+            for f, default in fields.items()
+        ]
+    except (TypeError, KeyError, AttributeError) as e:  # a non-object record, or a missing field
+        required = " and ".join(f'"{f}"' for f, default in fields.items() if default is None)
+        raise ValidationError(f'every record in "{key}" needs {required}: {e!r}') from e
+    return doc, columns
 
 
 def load_mempool(source) -> Mempool:
@@ -191,28 +223,9 @@ def load_mempool(source) -> Mempool:
     Accepts a file-like object, bytes, or str. Ordering of the input array
     is preserved.
     """
-    if hasattr(source, "read"):
-        raw = source.read()
-    else:
-        raw = source
-    try:
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        doc = json.loads(raw)
-    except ValueError as e:  # bad UTF-8 or JSON, or an int literal past the digit limit
-        raise ValidationError(f"malformed mempool JSON: {e}") from e
-    if not isinstance(doc, dict) or "transactions" not in doc:
-        raise ValidationError('mempool JSON must be an object with a "transactions" array')
-    records = doc["transactions"]
-    if not isinstance(records, list):
-        raise ValidationError('"transactions" must be an array')
-    try:
-        ids = [rec["id"] for rec in records]
-        prices = [rec["gas_price"] for rec in records]
-        sizes = [rec.get("size", 1.0) for rec in records]
-    except (TypeError, KeyError) as e:
-        raise ValidationError(f'every transaction record needs "id" and "gas_price": {e!r}') from e
-    return Mempool.from_arrays(ids, prices, sizes)
+    fields = {"id": None, "gas_price": None, "size": 1.0}
+    # Keeping only the columns frees the parsed records before the arrays are built.
+    return Mempool.from_arrays(*read_records(source, "mempool", "transactions", fields)[1])
 
 
 def load_mempool_file(path) -> Mempool:

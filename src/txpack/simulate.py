@@ -21,9 +21,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .equilibrium import MarginalProfile, solve_equilibrium
+from .equilibrium import solve_equilibrium
 from .errors import ValidationError
-from .mempool import GameParams, Mempool
+from .mempool import GameParams, Mempool, fixed_block_size
 from .strategy import SegmentSampler
 from .verify import greedy_profile
 
@@ -46,51 +46,32 @@ class ExperimentReport:
         return asdict(self)
 
 
-class _ProfileSource:
-    """Blocks from a profile's segment sampler, drawn in two steps.
+def _block_source(name: str, mempool: Mempool, params: GameParams) -> tuple:
+    """(k, draw, select): a strategy's fixed-mode blocks of k transactions, in two steps.
 
-    ``tokens(rng, n)`` keeps the least each of n blocks needs (one probe here,
-    a k-subset in ``_UniformSource``); ``positions`` turns the tokens of a
-    chunk of trials into an (n, k) mempool-position matrix.
+    ``draw(rng, n)`` takes from a trial's stream the least each of n blocks
+    needs: one probe for a profile's segment sampler, a k-subset of
+    positions for a uniform block. ``select`` turns the draws of a chunk of
+    trials into an (n, k) mempool-position matrix.
     """
-
-    def __init__(self, profile: MarginalProfile, k: int, mempool: Mempool):
-        # Both profiles list mempool.ids in order: segments labelled by position need no id lookup.
-        self.sampler = SegmentSampler(replace(profile, ids=np.arange(len(mempool))), k)
-        self.k = k
-
-    def tokens(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.random(n)  # one probe per block
-
-    def positions(self, rs: np.ndarray) -> np.ndarray:
-        return self.sampler.select_many(rs)
-
-
-class _UniformSource:
-    """Each block is an independent uniform k-subset of the mempool's m transactions."""
-
-    def __init__(self, mempool: Mempool, k: int):
-        self.m = len(mempool)
-        self.k = k
-
-    def tokens(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        # Selecting at once keeps k positions, not m keys, per block.
-        keys = rng.random((n, self.m))
-        return np.argpartition(keys, self.k - 1, axis=1)[:, : self.k]
-
-    def positions(self, chosen: np.ndarray) -> np.ndarray:
-        return chosen
-
-
-def _block_source(name: str, mempool: Mempool, params: GameParams):
-    k = params.block_size(len(mempool))
-    if name == "equilibrium":
-        return _ProfileSource(solve_equilibrium(mempool, params), k, mempool)
-    if name == "greedy":
-        return _ProfileSource(greedy_profile(mempool, params), k, mempool)
+    k = fixed_block_size(mempool, params)
     if name == "uniform-random-k":
-        return _UniformSource(mempool, k)
-    raise ValidationError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
+        m = len(mempool)
+
+        def draw(rng: np.random.Generator, n: int) -> np.ndarray:
+            # Selecting at once keeps k positions, not m keys, per block.
+            return np.argpartition(rng.random((n, m)), k - 1, axis=1)[:, :k]
+
+        return k, draw, lambda chosen: chosen
+    if name == "equilibrium":
+        profile = solve_equilibrium(mempool, params)
+    elif name == "greedy":
+        profile = greedy_profile(mempool, params)
+    else:
+        raise ValidationError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
+    # Both profiles list mempool.ids in order: segments labelled by position need no id lookup.
+    sampler = SegmentSampler(replace(profile, ids=np.arange(len(mempool))), k)
+    return k, lambda rng, n: rng.random(n), sampler.select_many
 
 
 def _trial_rng(seed: int, strategy_index: int, trial: int) -> np.random.Generator:
@@ -125,26 +106,27 @@ def _chunk_outcomes(pos: np.ndarray, gammas: np.ndarray, fees: np.ndarray) -> np
     ])
 
 
-def _trial_outcomes(source, fees: np.ndarray, lam: float, seed: int, s_idx: int,
+def _trial_outcomes(source: tuple, fees: np.ndarray, lam: float, seed: int, s_idx: int,
                     trials: int) -> np.ndarray:
     """(4, trials) per-trial outcomes (see ``_chunk_outcomes``) of one strategy.
 
-    Trial t draws gamma ~ Poisson(lam), then the tokens of gamma + 1 blocks,
-    from its own substream; a chunk of trials, sized to about
-    ``_CHUNK_BYTES`` of flags and positions, is then selected and accounted
-    for together.
+    ``source`` is ``_block_source``'s (k, draw, select). Trial t draws
+    gamma ~ Poisson(lam), then gamma + 1 blocks, from its own substream; a
+    chunk of trials, sized to about ``_CHUNK_BYTES`` of flags and positions,
+    is then selected and accounted for together.
     """
-    height = max(1, int(_CHUNK_BYTES // (8 * (len(fees) + (lam + 1) * source.k))))
+    k, draw, select = source
+    height = max(1, int(_CHUNK_BYTES // (8 * (len(fees) + (lam + 1) * k))))
     out = np.empty((4, trials))
     for start in range(0, trials, height):
         stop = min(start + height, trials)
         gammas = np.empty(stop - start, dtype=np.int64)
-        tokens = []
+        draws = []
         for i, t in enumerate(range(start, stop)):
             rng = _trial_rng(seed, s_idx, t)
             gammas[i] = rng.poisson(lam)
-            tokens.append(source.tokens(rng, int(gammas[i]) + 1))
-        out[:, start:stop] = _chunk_outcomes(source.positions(np.concatenate(tokens)), gammas, fees)
+            draws.append(draw(rng, int(gammas[i]) + 1))
+        out[:, start:stop] = _chunk_outcomes(select(np.concatenate(draws)), gammas, fees)
     return out
 
 
@@ -154,11 +136,12 @@ def run_experiment(config: dict) -> list:
     Config keys: mempool (a Mempool), lambda, k, trials, seed, strategies
     (subset of equilibrium/greedy/uniform-random-k). Identical configs
     produce identical reports. Every strategy plays fixed mode's game, so
-    a mempool whose sizes are not all 1 raises ValidationError first.
+    a fractional k or a mempool whose sizes are not all 1 raises
+    ValidationError before any strategy runs (``fixed_block_size``).
     """
     mempool = config["mempool"]
-    mempool.require_unit_size()
     params = GameParams(k=config["k"], lam=config["lambda"])
+    fixed_block_size(mempool, params)
     trials = int(config["trials"])
     if trials <= 0:
         raise ValidationError(f"trials must be positive, got {trials}")

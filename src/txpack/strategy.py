@@ -19,11 +19,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .equilibrium import MarginalProfile, capacity, check_marginals
+from .equilibrium import BUDGET_RTOL, MarginalProfile, capacity, check_marginals
 from .errors import RejectionBudgetExceeded, ValidationError
 from .mempool import Mempool
 
-_SUM_TOL = 1e-9
 _CHUNK_BYTES = 1 << 23  # uniforms drawn per rejection chunk; bounds its memory at large m
 
 
@@ -74,7 +73,7 @@ class SegmentSampler:
     def __init__(self, profile: MarginalProfile, k: int):
         values = np.asarray(profile.values, dtype=np.float64)
         total = float(values.sum())
-        if not abs(total - k) <= _SUM_TOL * max(1.0, k):  # NaN fails too
+        if not abs(total - k) <= BUDGET_RTOL * max(1.0, k):  # NaN fails too
             raise ValidationError(f"profile marginals sum to {total!r}, expected {k}")
         check_marginals(values, "profile marginals")
         nz = np.flatnonzero(values > 0.0)

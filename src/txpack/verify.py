@@ -19,7 +19,7 @@ import numpy as np
 
 from .equilibrium import MarginalProfile, log_threshold
 from .errors import ValidationError
-from .mempool import GameParams, Mempool
+from .mempool import GameParams, Mempool, fixed_block_size
 
 _TINY = sys.float_info.min  # the smallest normal float
 
@@ -167,8 +167,8 @@ def verify_equilibrium(
 
 
 def brute_force_feasible(m: int, k: int) -> bool:
-    """Whether brute_force_check enumerates an m-transaction, capacity-k instance."""
-    return m <= 20 and math.comb(m, min(k, m)) <= 1_000_000
+    """Whether brute_force_check enumerates the k-subsets of m transactions (k <= m)."""
+    return m <= 20 and math.comb(m, k) <= 1_000_000
 
 
 BRUTE_FORCE_TOL = 1e-8  # the largest utility gain a passing profile allows, per unit utility
@@ -185,8 +185,7 @@ def brute_force_check(
     absolute gain. Unit sizes and small instances only
     (``brute_force_feasible``).
     """
-    mempool.require_unit_size()
-    k = params.require_integer_k()
+    k = fixed_block_size(mempool, params)
     m = len(mempool)
     if not brute_force_feasible(m, k):
         raise ValidationError(f"instance too large for enumeration (m={m}, k={k})")
@@ -195,7 +194,7 @@ def brute_force_check(
 
     best_gain = -math.inf
     best_set: tuple = ()
-    for combo in itertools.combinations(range(m), params.block_size(m)):
+    for combo in itertools.combinations(range(m), k):
         u = float(vt[list(combo)].sum())
         if u - sym > best_gain:
             best_gain = u - sym
@@ -213,10 +212,11 @@ def brute_force_check(
 
 
 def greedy_profile(mempool: Mempool, params: GameParams) -> MarginalProfile:
-    """Deterministic top-k-by-price profile (the naive packaging strategy)."""
+    """Deterministic top-k-by-price profile (the naive packaging strategy); fixed mode only."""
+    k = fixed_block_size(mempool, params)
     order = np.argsort(-mempool.prices, kind="stable")
     values = np.zeros(len(mempool))
-    values[order[: params.block_size(len(mempool))]] = 1.0
+    values[order[:k]] = 1.0
     return MarginalProfile(mempool.ids, values, xhat=0.0, w=None)
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from txpack import GameParams, Mempool
+from txpack import GameParams, Mempool, fixed_block_size
 from txpack.strategy import SegmentSampler
 
 # Seven-transaction golden instance: prices in exponential form, unit sizes,
@@ -61,14 +61,14 @@ def random_sized_mempool(rng, m):
     return Mempool.from_arrays(np.arange(m), prices, sizes)
 
 
-def exclusion_frequency(profile, txid, params, trials, seed):
+def exclusion_frequency(mempool, profile, txid, params, trials, seed):
     """Share of trials whose Poisson(lambda) segment-sampler blocks all leave out txid.
 
     The closed-form target is exp(-lambda * p) for txid's marginal p.
     """
     rng = np.random.default_rng(seed)
     gammas = rng.poisson(params.lam, trials)
-    sampler = SegmentSampler(profile, params.block_size(len(profile.values)))
+    sampler = SegmentSampler(profile, fixed_block_size(mempool, params))
     hit = (sampler.select_many(rng.random(int(gammas.sum()))) == txid).any(axis=1)
     hits_before = np.concatenate([[0], np.cumsum(hit)])
     bounds = np.concatenate([[0], np.cumsum(gammas)])

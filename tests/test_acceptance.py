@@ -15,7 +15,6 @@ from txpack import (
     Mempool,
     base_fee,
     brute_force_check,
-    compute_phat,
     compute_phat_real,
     expected_utility,
     greedy_profile,
@@ -56,7 +55,7 @@ def best_time(fn, repeats=10):
 
 
 def test_c01_golden_instance_reproduction(golden_mempool, golden_params):
-    raw = compute_phat(golden_mempool, golden_params)
+    raw = compute_phat_real(golden_mempool, golden_params)
     profile, elapsed = best_time(lambda: solve_equilibrium(golden_mempool, golden_params))
     ok = (
         np.allclose(raw, GOLDEN_PHAT, atol=1e-9)
@@ -138,7 +137,7 @@ def test_c05_exclusivity_law(golden_mempool):
         params = GameParams(k=3, lam=lam)
         profile = solve_equilibrium(golden_mempool, params)
         p = profile.as_dict()[txid]
-        freq = exclusion_frequency(profile, txid, params, trials, seed=17)
+        freq = exclusion_frequency(golden_mempool, profile, txid, params, trials, seed=17)
         target = np.exp(-lam * p)
         se = np.sqrt(max(target * (1 - target), 1e-12) / trials)
         settings.append((lam, p, freq, target, abs(freq - target) <= 4 * se + 1e-9))

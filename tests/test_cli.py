@@ -7,8 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from txpack import Mempool
+from txpack import (
+    GameParams,
+    Mempool,
+    ValidationError,
+    brute_force_check,
+    greedy_profile,
+    run_experiment,
+    solve_equilibrium,
+)
 from txpack.cli import Rows, _dumps12, main
+from txpack.simulate import STRATEGY_NAMES
 
 from conftest import mempool_json
 
@@ -277,6 +286,66 @@ def test_fixed_mode_refuses_sized_mempool(capsys, monkeypatch, tmp_path, argv):
     assert "fixed mode" in err and "transaction 12 has size 2.5" in err and "variable mode" in err
 
 
+# Every fixed-mode entry point, as a call on (mempool, params) or as CLI arguments.
+FIXED_MODE_ENTRY_POINTS = {
+    "solve_equilibrium": lambda mp, params: solve_equilibrium(mp, params, mode="fixed"),
+    "brute_force_check": lambda mp, params: brute_force_check(
+        mp, params, solve_equilibrium(mp, params, mode="variable")),
+    "greedy_profile": greedy_profile,
+    "run_experiment": lambda mp, params: run_experiment(
+        {"mempool": mp, "k": params.k, "lambda": params.lam, "trials": 20,
+         "strategies": list(STRATEGY_NAMES)}),
+    "txpack equilibrium": ("equilibrium",),
+    "txpack sample --r": ("sample", "--r", "0.37"),
+    "txpack verify": ("verify",),
+    "txpack verify --profile": ("verify", "--profile", "profile.json"),
+    "txpack simulate": ("simulate", "--trials", "20", "--strategies", ",".join(STRATEGY_NAMES)),
+}
+FIXED_MODE_CASES = [
+    (kind, k, m) for kind in ("unit", "sized") for k in ("3", "2.5") for m in (7, 30)
+]
+
+
+@pytest.mark.parametrize("kind, k, m", FIXED_MODE_CASES, ids=str)
+@pytest.mark.parametrize("entry", FIXED_MODE_ENTRY_POINTS)
+def test_fixed_mode_rule_is_the_same_everywhere(capsys, monkeypatch, tmp_path, entry, kind, k, m):
+    # Fixed mode's game is blocks of k unit-size transactions: a fractional k
+    # is refused first, then a sized mempool, by every entry point alike.
+    monkeypatch.chdir(tmp_path)
+    sizes = np.ones(m)
+    if kind == "sized":
+        sizes[2] = 2.5
+    mempool = Mempool.from_arrays(np.arange(10, 10 + m), np.exp(np.linspace(-1.0, 1.0, m)), sizes)
+    path = tmp_path / "pool.json"
+    path.write_text(mempool_json(mempool))
+    game = ("--mempool", str(path), "--k", k, "--lambda", "1")
+    if k != "3":
+        expected = "fixed-size mode requires integer k, got 2.5"
+    elif kind == "sized":
+        expected = ("fixed mode requires unit sizes, but transaction 12 has size 2.5; "
+                    "use variable mode for sized transactions")
+    elif entry == "brute_force_check" and m > 20:
+        expected = "instance too large for enumeration (m=30, k=3)"  # the oracle's own limit
+    else:
+        expected = None
+    call = FIXED_MODE_ENTRY_POINTS[entry]
+    if callable(call):
+        try:
+            call(mempool, GameParams(k=float(k), lam=1.0))
+            error = None
+        except ValidationError as e:
+            error = str(e)
+        assert error == expected
+    else:
+        # variable mode accepts every case; its profile is what verify --profile reads
+        assert main(["equilibrium", *game, "--mode", "variable", "--out", "profile.json"]) == 0
+        rc, out, err = run_cli(capsys, call[0], *game, *call[1:])
+        if expected is None:
+            assert (rc, err) == (0, "") and out
+        else:
+            assert (rc, out, err) == (1, "", f"error: {expected}\n")
+
+
 def test_twelve_significant_digits(capsys, golden_mempool_file):
     _, out, _ = run_cli(
         capsys, "basefee", "--mempool", str(golden_mempool_file), "--k", "3", "--lambda", "1"
@@ -449,6 +518,8 @@ BAD_PROFILES = {
     "string xhat": _profile_doc(xhat="0"),
     "not json": "{",
     "int past the digit limit": "1" + "0" * 5000,
+    # a whole profile, but one key is not UTF-8; only strict decoding refuses it
+    "not utf-8": json.dumps(_profile_doc()).encode()[:-1] + b', "\xff": 1}',
 }
 
 
@@ -456,7 +527,10 @@ BAD_PROFILES = {
 def test_profile_must_match_mempool(capsys, tmp_path, golden_mempool_file, case):
     ppath = tmp_path / "profile.json"
     doc = BAD_PROFILES[case]
-    ppath.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    if isinstance(doc, bytes):
+        ppath.write_bytes(doc)
+    else:
+        ppath.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     rc, out, err = run_cli(
         capsys, "verify", "--mempool", str(golden_mempool_file),
         "--k", "3", "--lambda", "1", "--profile", str(ppath),

@@ -16,7 +16,6 @@ from txpack import (
     ValidationError,
     ZeroLatencyError,
     clamp_marginals,
-    compute_phat,
     compute_phat_real,
     solve_equilibrium,
     solve_xhat,
@@ -35,31 +34,31 @@ from conftest import (
 
 class TestComputePhat:
     def test_golden_values(self, golden_mempool, golden_params):
-        raw = compute_phat(golden_mempool, golden_params)
+        raw = compute_phat_real(golden_mempool, golden_params)
         assert raw == pytest.approx(GOLDEN_PHAT, abs=1e-9)
 
     def test_equal_prices_symmetric(self):
         mp = Mempool.from_arrays(range(5), [7.5] * 5)
-        raw = compute_phat(mp, GameParams(k=2, lam=0.7))
+        raw = compute_phat_real(mp, GameParams(k=2, lam=0.7))
         assert raw == pytest.approx([0.4] * 5, abs=1e-12)
 
     def test_single_transaction(self):
         mp = Mempool.from_arrays([0], [3.0])
-        raw = compute_phat(mp, GameParams(k=1, lam=2.0))
+        raw = compute_phat_real(mp, GameParams(k=1, lam=2.0))
         assert raw[0] == pytest.approx(1.0)
 
     def test_zero_lambda_refused(self, golden_mempool):
         with pytest.raises(ZeroLatencyError, match="limit behavior"):
-            compute_phat(golden_mempool, GameParams(k=3, lam=0.0))
+            compute_phat_real(golden_mempool, GameParams(k=3, lam=0.0))
 
     def test_empty_mempool_refused(self):
         with pytest.raises(ValidationError, match="empty"):
-            compute_phat(Mempool.from_arrays([], []), GameParams(k=1, lam=1.0))
+            compute_phat_real(Mempool.from_arrays([], []), GameParams(k=1, lam=1.0))
 
     def test_requires_unit_sizes(self):
         mp = Mempool.from_arrays([0], [1.0], [2.0])
         with pytest.raises(ValidationError, match="unit"):
-            compute_phat(mp, GameParams(k=1, lam=1.0))
+            solve_equilibrium(mp, GameParams(k=1, lam=1.0))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_budget_identity(self, seed):
@@ -67,7 +66,7 @@ class TestComputePhat:
         mp = random_unit_mempool(rng, rng.integers(2, 200))
         k = int(rng.integers(1, len(mp) + 1))
         lam = float(rng.uniform(0.01, 10))
-        raw = compute_phat(mp, GameParams(k=k, lam=lam))
+        raw = compute_phat_real(mp, GameParams(k=k, lam=lam))
         assert raw.sum() == pytest.approx(k, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -75,17 +74,12 @@ class TestComputePhat:
         rng = np.random.default_rng(100 + seed)
         mp = random_unit_mempool(rng, 50)
         params = GameParams(k=5, lam=float(rng.uniform(0.1, 4)))
-        raw = compute_phat(mp, params)
+        raw = compute_phat_real(mp, params)
         const = mp.prices * np.exp(-params.lam * raw)
         assert np.ptp(const) <= 1e-9 * const[0]
 
 
 class TestComputePhatReal:
-    def test_unit_sizes_reduce_to_phat(self, golden_mempool, golden_params):
-        a = compute_phat(golden_mempool, golden_params)
-        b = compute_phat_real(golden_mempool, golden_params)
-        assert b == pytest.approx(a, abs=1e-12)
-
     def test_two_transaction_hand_case(self):
         # Weighted mean log price is 2/3, so a lands exactly at 1 and b at 0;
         # the capacity identity gives 2*1 + 1*0 = k.
@@ -156,7 +150,7 @@ def _log_price_mempool(log_prices):
 
 class TestSolveXhat:
     def test_golden_xhat(self, golden_mempool, golden_params):
-        raw = compute_phat(golden_mempool, golden_params)
+        raw = compute_phat_real(golden_mempool, golden_params)
         xhat = solve_xhat(raw, golden_mempool, golden_params)
         assert xhat == pytest.approx(GOLDEN_XHAT, abs=1e-9)
         assert xhat == _reference_solve_xhat(raw, golden_mempool.sizes, 3)
@@ -165,7 +159,7 @@ class TestSolveXhat:
         # Raw marginals about (0.5, 0.25, 0.75, 0.5): all in [0, 1] and summing to k.
         mp = _log_price_mempool([0.0, -0.25, 0.25, 0.0])
         params = GameParams(k=2, lam=1.0)
-        raw = compute_phat(mp, params)
+        raw = compute_phat_real(mp, params)
         xhat = solve_xhat(raw, mp, params)
         assert xhat == pytest.approx(0.0, abs=1e-12)
         assert xhat == _reference_solve_xhat(raw, mp.sizes, 2)
@@ -175,7 +169,7 @@ class TestSolveXhat:
         # smallest solution is -0.5 and every solution clamps to (1, 0).
         mp = _log_price_mempool([1.0, -1.0])
         params = GameParams(k=1, lam=1.0)
-        raw = compute_phat(mp, params)
+        raw = compute_phat_real(mp, params)
         assert raw == pytest.approx([1.5, -0.5], abs=1e-12)
         xhat = solve_xhat(raw, mp, params)
         assert xhat == pytest.approx(-0.5, abs=1e-12)
@@ -264,7 +258,7 @@ def test_raw_marginals_follow_price_order(instance):
 
 class TestClampMarginals:
     def test_golden_profile(self, golden_mempool, golden_params):
-        raw = compute_phat(golden_mempool, golden_params)
+        raw = compute_phat_real(golden_mempool, golden_params)
         profile = clamp_marginals(raw, GOLDEN_XHAT, golden_mempool, golden_params)
         assert profile.values == pytest.approx(GOLDEN_PROFILE, abs=1e-9)
         assert profile.w == pytest.approx(GOLDEN_W, rel=1e-9)
@@ -274,7 +268,7 @@ class TestClampMarginals:
     def test_zero_shift_is_identity(self):
         mp = Mempool.from_arrays(range(4), [1.0] * 4)
         params = GameParams(k=2, lam=1.0)
-        raw = compute_phat(mp, params)
+        raw = compute_phat_real(mp, params)
         profile = clamp_marginals(raw, 0.0, mp, params)
         assert profile.values == pytest.approx(raw, abs=1e-12)
 

@@ -22,9 +22,8 @@ from txpack.simulate import (
 
 def _chunk(mempool, name, params, gammas, seed):
     """``_chunk_outcomes`` of trials facing ``gammas`` rivals, and their blocks as positions."""
-    source = _block_source(name, mempool, params)
-    rng = np.random.default_rng(seed)
-    pos = source.positions(source.tokens(rng, int(gammas.sum()) + len(gammas)))
+    _, draw, select = _block_source(name, mempool, params)
+    pos = select(draw(np.random.default_rng(seed), int(gammas.sum()) + len(gammas)))
     return _chunk_outcomes(pos, gammas, mempool.prices * mempool.sizes), pos
 
 
@@ -88,7 +87,7 @@ def test_exclusion_frequency_tracks_closed_form(golden_mempool, golden_params):
     trials = 20_000
     for txid in (1, 2, 7):  # interior, p = 1, and p = 0
         p = profile.as_dict()[txid]
-        freq = exclusion_frequency(profile, txid, golden_params, trials, seed=4)
+        freq = exclusion_frequency(golden_mempool, profile, txid, golden_params, trials, seed=4)
         target = np.exp(-golden_params.lam * p)
         se = np.sqrt(max(target * (1 - target), 1e-12) / trials)
         assert abs(freq - target) <= 4 * se + 1e-9
@@ -155,12 +154,13 @@ def test_chunk_height_invariance(monkeypatch, name):
 
 def _reference_trial_outcomes(source, mempool, lam, seed, trials):
     """The per-trial loop the chunked kernel replaced, kept as its reference."""
+    _, draw, select = source
     fees = mempool.prices * mempool.sizes
     out = np.zeros((4, trials))
     for t in range(trials):
         rng = _trial_rng(seed, 0, t)
         gamma = int(rng.poisson(lam))
-        draws = mempool.ids[source.positions(source.tokens(rng, gamma + 1))]
+        draws = mempool.ids[select(draw(rng, gamma + 1))]
         focal, flat = draws[0], draws[1:].ravel()
         out[0, t] = fees[mempool.positions(focal[~np.isin(focal, flat)])].sum()
         if gamma:

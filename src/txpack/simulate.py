@@ -9,14 +9,21 @@ included transaction once regardless of duplication.
 All randomness flows through per-trial substreams derived from the master
 seed via numpy's SeedSequence spawn keys, so reports are reproducible and
 earlier trials are unaffected by the trial count. ``run_experiment`` makes
-each trial's draws from its own substream, one trial after another, then
-selects and accounts for a whole chunk of trials with a few array
-operations; a chunk holds about ``_CHUNK_BYTES``, and its height changes
-no trial's outcome.
+each trial's draws from its own substream, then selects and accounts for
+a whole chunk of trials with a few array operations; a chunk holds about
+``_CHUNK_BYTES``, and its height changes no trial's outcome. The chunks of
+all strategies run in forked worker processes, one per usable CPU; they
+run in this process when there is one usable CPU or one chunk, when the
+platform cannot fork, or when this process is a daemonic worker itself.
+Each trial is reduced within its own row and the reports are computed
+from the outcomes in trial order, so the output does not depend on the
+CPU count.
 """
 
 from __future__ import annotations
 
+import numbers
+import os
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -106,55 +113,114 @@ def _chunk_outcomes(pos: np.ndarray, gammas: np.ndarray, fees: np.ndarray) -> np
     ])
 
 
-def _trial_outcomes(source: tuple, fees: np.ndarray, lam: float, seed: int, s_idx: int,
-                    trials: int) -> np.ndarray:
-    """(4, trials) per-trial outcomes (see ``_chunk_outcomes``) of one strategy.
+def _chunk_trials(state: tuple, task: tuple) -> np.ndarray:
+    """(4, stop - start) outcomes (see ``_chunk_outcomes``) of one task's trials.
 
-    ``source`` is ``_block_source``'s (k, draw, select). Trial t draws
-    gamma ~ Poisson(lam), then gamma + 1 blocks, from its own substream; a
-    chunk of trials, sized to about ``_CHUNK_BYTES`` of flags and positions,
-    is then selected and accounted for together.
+    ``state`` is (sources, fees, lam, seed), each source ``_block_source``'s
+    (k, draw, select); ``task`` is (s, start, stop). Trial t of source s
+    draws gamma ~ Poisson(lam), then gamma + 1 blocks, from its own
+    substream; the chunk's blocks are then selected and accounted for
+    together.
     """
-    k, draw, select = source
-    height = max(1, int(_CHUNK_BYTES // (8 * (len(fees) + (lam + 1) * k))))
-    out = np.empty((4, trials))
-    for start in range(0, trials, height):
-        stop = min(start + height, trials)
-        gammas = np.empty(stop - start, dtype=np.int64)
-        draws = []
-        for i, t in enumerate(range(start, stop)):
-            rng = _trial_rng(seed, s_idx, t)
-            gammas[i] = rng.poisson(lam)
-            draws.append(draw(rng, int(gammas[i]) + 1))
-        out[:, start:stop] = _chunk_outcomes(select(np.concatenate(draws)), gammas, fees)
-    return out
+    sources, fees, lam, seed = state
+    s_idx, start, stop = task
+    _, draw, select = sources[s_idx]
+    gammas = np.empty(stop - start, dtype=np.int64)
+    draws = []
+    for i, t in enumerate(range(start, stop)):
+        rng = _trial_rng(seed, s_idx, t)
+        gammas[i] = rng.poisson(lam)
+        draws.append(draw(rng, int(gammas[i]) + 1))
+    return _chunk_outcomes(select(np.concatenate(draws)), gammas, fees)
+
+
+_forked_state = None  # set by _adopt, in pool workers only
+
+
+def _adopt(state: tuple):
+    global _forked_state
+    _forked_state = state
+
+
+def _forked_chunk(task: tuple) -> np.ndarray:
+    return _chunk_trials(_forked_state, task)
+
+
+def _trial_outcomes(sources: list, fees: np.ndarray, lam: float, seed: int, trials: int) -> list:
+    """Each source's (4, trials) per-trial outcomes (see ``_chunk_outcomes``).
+
+    A source's trials are split into chunks of about ``_CHUNK_BYTES`` of
+    flags and positions, and the (source, chunk) tasks run in forked
+    workers, one per usable CPU and at most one per task. Workers inherit
+    the sources and ``fees``, so their closures and m-sized arrays are
+    never pickled: only chunk bounds go out and (4, n) outcomes come back.
+    The tasks run here, one after another, when there is one worker, when
+    the platform lacks ``sched_getaffinity`` or the fork start method, or
+    when this process is daemonic and so may not have children. Each
+    trial's outcome comes from its own substream and row, so the result is
+    the same either way.
+    """
+    tasks = []
+    for s_idx, (k, _, _) in enumerate(sources):
+        height = max(1, int(_CHUNK_BYTES // (8 * (len(fees) + (lam + 1) * k))))
+        tasks += [(s_idx, start, min(start + height, trials)) for start in range(0, trials, height)]
+    state = (sources, fees, lam, seed)
+    workers = min(len(os.sched_getaffinity(0)), len(tasks)) if hasattr(os, "sched_getaffinity") else 1
+    parts = None
+    if workers > 1:
+        # Imported only here: txpack.cli imports this module, and importing
+        # multiprocessing would add about 10 ms to every CLI start.
+        import multiprocessing
+
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            # Fork, not spawn: the sources' closures cannot be pickled. This
+            # process starts no threads of its own, and OpenBLAS stops its
+            # pool around a fork, so the workers inherit no held lock.
+            pool = multiprocessing.get_context("fork").Pool(workers, _adopt, (state,))
+            try:
+                parts = pool.map(_forked_chunk, tasks)
+                pool.close()
+            except BaseException:
+                pool.terminate()
+                raise
+            finally:
+                pool.join()
+    if parts is None:
+        parts = [_chunk_trials(state, task) for task in tasks]
+    return [np.concatenate([part for (s, _, _), part in zip(tasks, parts) if s == s_idx], axis=1)
+            for s_idx in range(len(sources))]
 
 
 def run_experiment(config: dict) -> list:
     """Run the configured strategies and return one ExperimentReport each.
 
-    Config keys: mempool (a Mempool), lambda, k, trials, seed, strategies
-    (subset of equilibrium/greedy/uniform-random-k). Identical configs
-    produce identical reports. Every strategy plays fixed mode's game, so
-    a fractional k or a mempool whose sizes are not all 1 raises
-    ValidationError before any strategy runs (``fixed_block_size``).
+    Config keys: mempool (a Mempool), lambda, k, trials (a positive int),
+    seed, strategies (subset of equilibrium/greedy/uniform-random-k).
+    Identical configs produce identical reports, whatever the CPU count.
+    Every strategy plays fixed mode's game, so a fractional k, a mempool
+    whose sizes are not all 1 (``fixed_block_size``) or an empty mempool
+    raises ValidationError before any strategy runs.
     """
     mempool = config["mempool"]
     params = GameParams(k=config["k"], lam=config["lambda"])
     fixed_block_size(mempool, params)
-    trials = int(config["trials"])
+    if len(mempool) == 0:
+        raise ValidationError("empty mempool")
+    trials = config["trials"]
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
+        raise ValidationError(f"trials must be an integer, got {trials!r}")
     if trials <= 0:
         raise ValidationError(f"trials must be positive, got {trials}")
+    trials = int(trials)
     seed = int(config.get("seed", 0))
     names = list(config.get("strategies", ["equilibrium"]))
 
     fees = mempool.prices * mempool.sizes
+    sources = [_block_source(name, mempool, params) for name in names]
+    outcomes = _trial_outcomes(sources, fees, params.lam, seed, trials)
     reports = []
-    for s_idx, name in enumerate(names):
-        source = _block_source(name, mempool, params)
-        revenue, dup_rate, unique_cnt, chain_rev = _trial_outcomes(
-            source, fees, params.lam, seed, s_idx, trials
-        )
+    for name, (revenue, dup_rate, unique_cnt, chain_rev) in zip(names, outcomes):
         reports.append(
             ExperimentReport(
                 strategy=name,

@@ -1,3 +1,10 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import exclusion_frequency, random_unit_mempool
@@ -123,7 +130,7 @@ def test_experiment_deterministic(golden_mempool):
 def _outcomes(mempool, name, lam, seed, trials, k=3):
     params = GameParams(k=k, lam=lam)
     source = _block_source(name, mempool, params)
-    return _trial_outcomes(source, mempool.prices * mempool.sizes, lam, seed, 0, trials)
+    return _trial_outcomes([source], mempool.prices * mempool.sizes, lam, seed, trials)[0]
 
 
 def test_trial_prefix_stable(golden_mempool):
@@ -187,6 +194,29 @@ def test_zero_trials_rejected(golden_mempool):
         run_experiment(config(golden_mempool, trials=0))
 
 
+@pytest.mark.parametrize("trials", [5.7, 5.0, True, "5"])
+def test_non_integer_trials_rejected(golden_mempool, trials):
+    with pytest.raises(ValidationError, match="trials must be an integer"):
+        run_experiment(config(golden_mempool, trials=trials))
+
+
+def test_numpy_integer_trials_accepted(golden_mempool):
+    a = run_experiment(config(golden_mempool, trials=np.int64(50)))
+    b = run_experiment(config(golden_mempool, trials=50))
+    assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
+
+
+@pytest.mark.parametrize("name", STRATEGY_NAMES)
+def test_empty_mempool_rejected(monkeypatch, name):
+    def no_source(*args):
+        raise AssertionError("a strategy ran on an empty mempool")
+
+    monkeypatch.setattr(simulate, "_block_source", no_source)
+    empty = Mempool.from_arrays(np.array([], dtype=np.int64), np.array([]))
+    with pytest.raises(ValidationError, match="empty mempool"):
+        run_experiment(config(empty, strategies=[name]))
+
+
 def test_unknown_strategy_rejected(golden_mempool):
     with pytest.raises(ValidationError, match="unknown strategy"):
         run_experiment(config(golden_mempool, strategies=["alpha-beta"]))
@@ -201,3 +231,79 @@ def test_throughput_ordering(golden_mempool):
 def test_uniform_strategy_runs(golden_mempool):
     (report,) = run_experiment(config(golden_mempool, trials=300, strategies=["uniform-random-k"]))
     assert report.mean_exclusive_revenue > 0
+
+
+def _set_usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+def test_pool_matches_serial(monkeypatch):
+    # Many chunks per strategy, so that both workers take several. With one
+    # usable CPU every chunk runs in this process; with two, none does.
+    mempool = _shuffled_mempool(300)
+    params = GameParams(k=30, lam=2.5)
+    sources = [_block_source(name, mempool, params) for name in STRATEGY_NAMES]
+    cfg = config(mempool, k=30, trials=400, strategies=list(STRATEGY_NAMES), **{"lambda": 2.5})
+    monkeypatch.setattr(simulate, "_CHUNK_BYTES", 1 << 14)
+    here = []
+    real = simulate._chunk_trials
+    monkeypatch.setattr(simulate, "_chunk_trials", lambda *a: here.append(a[1]) or real(*a))
+    got = {}
+    for cpus in (1, 2):
+        _set_usable_cpus(monkeypatch, cpus)
+        here.clear()
+        # CPython clears its fork-with-threads DeprecationWarning even under an
+        # "error" filter, so it is recorded here and checked.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DeprecationWarning)
+            outcomes = _trial_outcomes(sources, mempool.prices, 2.5, 7, 400)
+            reports = [r.to_json_dict() for r in run_experiment(cfg)]
+        assert [str(w.message) for w in caught if w.category is DeprecationWarning] == []
+        got[cpus] = outcomes, reports, len(here)
+    assert got[1][2] >= 2 * len(STRATEGY_NAMES) * 10  # ten or more chunks per strategy per call
+    assert got[2][2] == 0
+    for serial, pooled in zip(got[1][0], got[2][0]):
+        assert pooled.shape == (4, 400)
+        assert np.array_equal(serial, pooled)
+    assert got[1][1] == got[2][1]
+
+
+def test_worker_error_leaves_no_worker(monkeypatch, golden_mempool, golden_params):
+    def fail(state, task):
+        raise ValueError(f"chunk {task} failed")
+
+    _set_usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(simulate, "_chunk_trials", fail)
+    source = _block_source("greedy", golden_mempool, golden_params)
+    with pytest.raises(ValueError, match="chunk"):
+        _trial_outcomes([source, source], golden_mempool.prices, 1.0, 7, 10)
+    assert multiprocessing.active_children() == []
+
+
+def _reports_in_this_process():
+    cfg = config(_shuffled_mempool(200), k=20, trials=300, strategies=list(STRATEGY_NAMES))
+    return [r.to_json_dict() for r in run_experiment(cfg)]
+
+
+def test_runs_inside_daemonic_worker(monkeypatch):
+    # Pool workers are daemonic and may not have children: there the chunks
+    # run serially, with the same reports.
+    _set_usable_cpus(monkeypatch, 2)
+    pool = multiprocessing.get_context("fork").Pool(1)
+    try:
+        inside = pool.apply_async(_reports_in_this_process).get(timeout=120)
+    finally:
+        pool.terminate()
+        pool.join()
+    assert inside == _reports_in_this_process()
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, txpack.cli; print('multiprocessing' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

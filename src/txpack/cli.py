@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import MarginalProfile, solve_equilibrium
+from .equilibrium import MarginalProfile, log_threshold, solve_equilibrium
 from .errors import InvariantViolation, TxpackError, ValidationError
 from .fees import base_fee
 from .mempool import (
@@ -144,7 +144,7 @@ def _load(args):
     return mempool, GameParams(k=args.k, lam=args.lam)
 
 
-def _load_profile(path, mempool: Mempool) -> MarginalProfile:
+def _load_profile(path, mempool: Mempool, params: GameParams) -> MarginalProfile:
     """The profile file as a profile in mempool order; a malformed one raises ValidationError."""
     with open(path, "rb") as fh:
         doc, (ids, ps) = read_records(fh, "profile", "marginals", {"id": None, "p": None})
@@ -157,7 +157,16 @@ def _load_profile(path, mempool: Mempool) -> MarginalProfile:
     for key, v in (("xhat", xhat), ("w", w)):
         if v is not None and not (type(v) in (int, float) and math.isfinite(v)):
             raise ValidationError(f'profile "{key}" must be a finite number or null, got {v!r}')
-    return MarginalProfile(mempool.ids, values, xhat, w)
+    if w is None:
+        return MarginalProfile(mempool.ids, values, xhat, None)
+    if w < 0:
+        raise ValidationError(f'profile "w" must be >= 0 or null, got {w!r}')
+    # The solver's ln w, where w is its exp, keeps the digits a printed w lost (0 at large lambda).
+    log_w = log_threshold(xhat, mempool, params)
+    with np.errstate(over="ignore"):  # a huge "xhat" gives inf, which no finite w equals
+        if w != float(np.exp(log_w)):
+            log_w = math.log(w) if w > 0 else -math.inf
+    return MarginalProfile(mempool.ids, values, xhat, log_w)
 
 
 def cmd_equilibrium(args):
@@ -199,7 +208,7 @@ def cmd_verify(args):
     mempool, params = _load(args)
     k = fixed_block_size(mempool, params) if args.mode == "fixed" else None
     if args.profile:
-        profile = _load_profile(args.profile, mempool)
+        profile = _load_profile(args.profile, mempool, params)
     else:
         profile = solve_equilibrium(mempool, params, mode=args.mode)
     doc = verify_equilibrium(profile, mempool, params, tol=args.tol).to_json_dict()

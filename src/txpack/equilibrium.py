@@ -2,9 +2,9 @@
 
 The pipeline is: raw marginals (which may fall outside [0,1]) -> smallest
 shift ``xhat`` making the truncated marginals use exactly the block
-capacity -> clamped profile plus the equilibrium price threshold ``w``.
-Capacity sums go through ``capacity``, which never calls BLAS, so no result
-depends on the BLAS thread count.
+capacity -> clamped profile plus ln w, the log of the equilibrium price
+threshold ``w``. Capacity sums go through ``capacity``, which never calls
+BLAS, so no result depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -24,15 +24,21 @@ class MarginalProfile:
     """Equilibrium inclusion probabilities with the clamp shift and threshold.
 
     ``values[i]`` is the probability that the symmetric equilibrium strategy
-    packages transaction ``ids[i]``. ``w`` is the common discounted gas price
-    v(tx)*exp(-lambda*p(tx)) of every interior transaction, or None for a
+    packages transaction ``ids[i]``. ``log_w`` is ln w, the log of the common
+    discounted gas price v(tx)*exp(-lambda*p(tx)) of every interior
+    transaction, finite where w underflows: -inf for w = 0, or None for a
     profile that carries no threshold (such as the greedy and uniform ones).
     """
 
     ids: np.ndarray
     values: np.ndarray
     xhat: float
-    w: float | None
+    log_w: float | None
+
+    @property
+    def w(self) -> float | None:
+        """The threshold as a float, exp(log_w); 0 where it underflows, None without one."""
+        return None if self.log_w is None else float(np.exp(self.log_w))
 
     def as_dict(self) -> dict:
         return {int(i): float(v) for i, v in zip(self.ids, self.values)}
@@ -222,17 +228,12 @@ def log_threshold(xhat: float, mempool: Mempool, params: GameParams) -> float:
     return -params.lam * params.k / mempool.total_size + mempool.mean_log_price + params.lam * xhat
 
 
-def threshold(xhat: float, mempool: Mempool, params: GameParams) -> float:
-    """Equilibrium threshold w at clamp shift xhat: the price whose raw marginal is exactly xhat."""
-    return float(np.exp(log_threshold(xhat, mempool, params)))
-
-
 def clamp_marginals(
     raw: np.ndarray, xhat: float, mempool: Mempool, params: GameParams
 ) -> MarginalProfile:
-    """Truncate raw marginals at xhat and attach the equilibrium threshold w."""
+    """Truncate raw marginals at xhat and attach the equilibrium threshold's log."""
     values = np.clip(raw - xhat, 0.0, 1.0)
-    profile = MarginalProfile(mempool.ids, values, float(xhat), threshold(xhat, mempool, params))
+    profile = MarginalProfile(mempool.ids, values, float(xhat), log_threshold(xhat, mempool, params))
     used = capacity(values, mempool.sizes)
     if not abs(used - params.k) <= BUDGET_RTOL * max(1.0, params.k):  # NaN fails too
         raise InvariantViolation(
@@ -257,8 +258,8 @@ def solve_equilibrium(mempool: Mempool, params: GameParams, mode: str = "fixed")
     raw = compute_phat_real(mempool, params)
     xhat = _shift(raw, mempool, params)
     if mempool.total_size <= params.k:
-        w = threshold(xhat, mempool, params)
-        profile = MarginalProfile(mempool.ids, np.ones(len(mempool)), xhat, w)
+        log_w = log_threshold(xhat, mempool, params)
+        profile = MarginalProfile(mempool.ids, np.ones(len(mempool)), xhat, log_w)
     else:
         profile = clamp_marginals(raw, xhat, mempool, params)
     mempool.last_solve = (params.k, params.lam, xhat)  # one tuple, replaced whole

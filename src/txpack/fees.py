@@ -3,12 +3,12 @@
 v_low is the gas price below which a transaction is never packaged; v_high
 the price above which every block packages it. They are the prices at which
 a zero-size virtual transaction's marginal hits the clamp boundaries, so
-v_low = w, the equilibrium threshold, and v_high = w * e^lambda, taken as
-exp(ln w + lambda) where w is subnormal or e^lambda overflows. The
-shift-aware mode takes w at the solved profile's clamp shift, reusing the
-mempool's last solve at the same (k, lambda); the paper's closed form takes
-it at shift 0, so the two coincide exactly when no clamping is active
-(xhat = 0).
+v_low = w, the equilibrium threshold, and v_high = w * e^lambda. Both come
+from ln w: v_low = exp(ln w), the profile's w bit for bit, and v_high =
+exp(ln w + lambda), or inf past the float range. The shift-aware mode takes
+w at the solved profile's clamp shift, reusing the mempool's last solve at
+the same (k, lambda); the paper's closed form takes it at shift 0, so the
+two coincide exactly when no clamping is active (xhat = 0).
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ def base_fee(mempool: Mempool, params: GameParams, mode: str = "xhat_aware") -> 
     else:
         xhat = equilibrium_xhat(mempool, params)
     log_w = log_threshold(xhat, mempool, params)
-    w = float(np.exp(log_w))  # the profile's w, bit for bit
-    if w >= sys.float_info.min and params.lam <= _LOG_MAX:
-        v_high = w * float(np.exp(params.lam))
-    else:  # w is subnormal or e^lambda overflows: exponentiate the sum of the logs
-        log_v_high = log_w + params.lam
-        v_high = float(np.exp(log_v_high)) if log_v_high <= _LOG_MAX else math.inf
-    return FeeBounds(w, v_high, mode, xhat)
+    log_v_high = log_w + params.lam
+    v_high = float(np.exp(log_v_high)) if log_v_high <= _LOG_MAX else math.inf
+    return FeeBounds(float(np.exp(log_w)), v_high, mode, xhat)

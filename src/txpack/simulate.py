@@ -221,13 +221,15 @@ def run_experiment(config: dict) -> list:
     outcomes = _trial_outcomes(sources, fees, params.lam, seed, trials)
     reports = []
     for name, (revenue, dup_rate, unique_cnt, chain_rev) in zip(names, outcomes):
+        # One trial has no sample deviation; it is reported as NaN without computing it.
+        stderr = revenue.std(ddof=1) / np.sqrt(trials) if trials > 1 else np.nan
         reports.append(
             ExperimentReport(
                 strategy=name,
                 trials=trials,
                 seed=seed,
                 mean_exclusive_revenue=float(revenue.mean()),
-                stderr_exclusive_revenue=float(revenue.std(ddof=1) / np.sqrt(trials)),
+                stderr_exclusive_revenue=float(stderr),
                 mean_duplication_rate=float(dup_rate.mean()),
                 mean_unique_tx=float(unique_cnt.mean()),
                 mean_chain_revenue=float(chain_rev.mean()),

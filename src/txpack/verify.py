@@ -6,22 +6,24 @@ the exponential factor is the probability that none of a Poisson(lambda)
 number of competing blocks contains tx. Utility is linear in the miner's
 own marginals, so the best response is a fractional knapsack over discounted
 prices, and with unit sizes and integer k a pure k-subset.
+
+Every oracle works in one log domain: discounted prices are exponentiated
+from ln v - lambda q relative to their largest value, and the threshold
+check compares ln v - lambda p with the profile's ln w, so no result depends
+on whether v, w or e^(-lambda q) fits in a float.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import MarginalProfile, log_threshold
+from .equilibrium import MarginalProfile
 from .errors import ValidationError
 from .mempool import GameParams, Mempool, fixed_block_size
-
-_TINY = sys.float_info.min  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -55,20 +57,18 @@ class EquilibriumVerdict:
 def _discounted(others: MarginalProfile, mempool: Mempool, params: GameParams):
     """(q, vt, top): the opponents' checked marginals q, and v e^(-lambda q) as vt e^top.
 
-    top is 0, and vt the linear product, while e^(-lambda max q) and every
-    discounted price are normal floats. Otherwise vt = exp(ln v - lambda q - top),
-    with top the largest log discounted price, so the largest vt is 1. The
-    oracles work in vt units and multiply by e^top only in the absolute
-    utilities they report.
+    vt = exp(ln v - lambda q - top), with top the largest log discounted
+    price, so the largest vt is 1 and no discounted price over- or
+    underflows for lack of a unit. The oracles work in vt units and multiply
+    by e^top only in the absolute utilities they report.
     """
     q = others.values_for(mempool)
-    vt = mempool.prices * np.exp(-params.lam * q)
-    # e^(-lambda q) is smallest at the largest q.
-    if vt.min(initial=math.inf) >= _TINY and np.exp(-params.lam * q.max(initial=0.0)) >= _TINY:
-        return q, vt, 0.0
-    log_vt = mempool.log_prices - params.lam * q
-    top = float(log_vt.max())
-    return q, np.exp(log_vt - top), top
+    vt = np.multiply(q, -params.lam)
+    vt += mempool.log_prices
+    top = float(vt.max(initial=-math.inf))
+    vt -= top
+    np.exp(vt, out=vt)
+    return q, vt, top
 
 
 def expected_utility(own: MarginalProfile, others: MarginalProfile, mempool: Mempool,
@@ -113,46 +113,34 @@ def verify_equilibrium(
 
     Requires a w such that every zero-probability transaction has discounted
     price <= w, every certainly-included one >= w, and every interior one
-    == w. Violations are measured relative to w, and the best response's
-    utility gain relative to the symmetric utility. A profile without a w
-    (``w is None``) is checked against one estimated from its discounted prices.
-    Where the discounted prices are rescaled (see ``_discounted``) or w is
-    subnormal or 0, the check compares ln v - lambda p with ln w.
+    == w. Violations are measured relative to w, as expm1(ln v - lambda p -
+    ln w), and the best response's utility gain relative to the symmetric
+    utility. A profile without a threshold (``log_w is None``) is checked
+    against one estimated from its discounted prices.
     """
     p, vt, top = _discounted(profile, mempool, params)
     zero = p <= 0.0
     one = p >= 1.0
-    interior = ~zero & ~one
 
-    w, log_w = profile.w, None
-    if w is None:  # estimated in vt units
+    log_w = profile.log_w
+    if log_w is None:  # estimated in vt units
+        interior = ~zero & ~one
         if interior.any():
             w = float(np.median(vt[interior]))
         else:
             lo = float(vt[zero].max()) if zero.any() else -math.inf
             hi = float(vt[one].min()) if one.any() else math.inf
             w = 0.5 * (max(lo, 0.0) + hi) if math.isfinite(hi) else max(lo, 1.0)
-        log_w = math.log(w) + top if w > 0.0 else -math.inf
-        if top != 0.0:
-            w = math.exp(log_w)
-    if top == 0.0 and (w < 0.0 or w >= _TINY):
-        rel = (vt - w) / max(abs(w), 1e-300)  # discounted price over w, minus 1
-    else:
-        if log_w is None:  # the solver's log threshold, where w is its exp, keeps the digits w lost
-            log_w = log_threshold(profile.xhat, mempool, params)
-            if w != float(np.exp(log_w)):
-                log_w = math.log(w) if w > 0.0 else -math.inf
-        with np.errstate(over="ignore"):  # past e^709.78 times w, the violation is inf
-            rel = np.expm1(mempool.log_prices - params.lam * p - log_w)
+        log_w = (math.log(w) if w > 0.0 else -math.inf) + top
+    rel = np.multiply(p, -params.lam)  # to be v e^(-lambda p) / w - 1
+    rel += mempool.log_prices
+    rel -= log_w
+    with np.errstate(over="ignore"):  # past e^709.78 times w, the violation is inf
+        np.expm1(rel, out=rel)
 
-    violations = [0.0]
-    if interior.any():
-        violations.append(float(np.abs(rel[interior]).max()))
-    if zero.any():
-        violations.append(max(0.0, float(rel[zero].max())))
-    if one.any():
-        violations.append(max(0.0, -float(rel[one].min())))
-    worst = max(violations)
+    # Interior transactions violate by |rel|, excluded ones by rel > 0, certain ones by -rel > 0.
+    worst = max(0.0, float(np.where(one, 0.0, rel).max(initial=0.0)),
+                -float(np.where(zero, 0.0, rel).min(initial=0.0)))
 
     br_set, br_util = _best_response_to(vt, mempool, params)
     sym_util = float(np.sum(p * mempool.sizes * vt))  # expected_utility(profile, profile, ...)
@@ -163,7 +151,7 @@ def verify_equilibrium(
     witness = None
     if not passes and gain > 0:
         witness = {"txids": br_set, "utility_gain": gain * math.exp(top)}
-    return EquilibriumVerdict(passes, float(w), float(worst), witness)
+    return EquilibriumVerdict(passes, float(np.exp(log_w)), float(worst), witness)
 
 
 def brute_force_feasible(m: int, k: int) -> bool:
@@ -217,11 +205,11 @@ def greedy_profile(mempool: Mempool, params: GameParams) -> MarginalProfile:
     order = np.argsort(-mempool.prices, kind="stable")
     values = np.zeros(len(mempool))
     values[order[:k]] = 1.0
-    return MarginalProfile(mempool.ids, values, xhat=0.0, w=None)
+    return MarginalProfile(mempool.ids, values, xhat=0.0, log_w=None)
 
 
 def uniform_profile(mempool: Mempool, params: GameParams) -> MarginalProfile:
     """Every transaction equally likely: p = k/m."""
     m = len(mempool)
     values = np.full(m, min(params.k / m, 1.0))
-    return MarginalProfile(mempool.ids, values, xhat=0.0, w=None)
+    return MarginalProfile(mempool.ids, values, xhat=0.0, log_w=None)

@@ -173,23 +173,39 @@ def test_verify_external_profile_with_witness(capsys, tmp_path, golden_mempool_f
     assert out == NO_W_PROFILE_STDOUT
 
 
-def test_verify_profile_without_w_at_large_lambda(capsys, tmp_path):
-    # Every discounted price underflows in floats; the estimated w must still be checkable.
+def _verify_equilibrium_output_at_large_lambda(capsys, tmp_path, keep_w: bool) -> dict:
+    """verify --profile's report on equilibrium's own output, at lambda 1000 where "w" prints as 0."""
     mempool_path = tmp_path / "pool.json"
     mempool_path.write_text(mempool_json(Mempool.from_arrays(range(4), np.exp(np.arange(4) / 3))))
     game = ("--mempool", str(mempool_path), "--k", "3", "--lambda", "1000")
     rc, out, _ = run_cli(capsys, "equilibrium", *game)
     assert rc == 0
     profile = json.loads(out)
-    del profile["w"]
+    assert profile["w"] == 0  # every discounted price underflows in floats
+    if not keep_w:
+        del profile["w"]
     ppath = tmp_path / "profile.json"
     ppath.write_text(json.dumps(profile))
     rc, out, _ = run_cli(capsys, "verify", *game, "--profile", str(ppath))
     assert rc == 0
     doc = json.loads(out)
+    assert doc["brute_force"]["passes"] is True
+    return doc
+
+
+def test_verify_profile_without_w_at_large_lambda(capsys, tmp_path):
+    # The estimated w must still be checkable.
+    doc = _verify_equilibrium_output_at_large_lambda(capsys, tmp_path, keep_w=False)
     # The 12 digits the marginals are written with leave about 1e-13 * lambda of violation.
     assert doc["passes"] is True and 0.0 <= doc["worst_violation"] < 1e-9
-    assert doc["brute_force"]["passes"] is True
+
+
+def test_equilibrium_verify_round_trip_at_large_lambda(capsys, tmp_path):
+    # The printed w of 0 lost every digit; the profile reader recovers ln w from xhat,
+    # where log(0) would fail every transaction.
+    doc = _verify_equilibrium_output_at_large_lambda(capsys, tmp_path, keep_w=True)
+    assert doc["passes"] is True and 0.0 <= doc["worst_violation"] < 1e-9
+    assert doc["w"] == 0
 
 
 def test_simulate_subcommand(capsys, golden_mempool_file, tmp_path):
@@ -204,6 +220,17 @@ def test_simulate_subcommand(capsys, golden_mempool_file, tmp_path):
     assert out_path.read_bytes() == first
     reports = json.loads(first)
     assert [r["strategy"] for r in reports] == ["equilibrium", "greedy"]
+
+
+def test_simulate_one_trial_reports_no_stderr(capsys, golden_mempool_file):
+    # One trial has no sample deviation; computing one would raise under pytest's RuntimeWarning filter.
+    rc, out, _ = run_cli(
+        capsys, "simulate", "--mempool", str(golden_mempool_file), "--k", "3", "--lambda", "1",
+        "--trials", "1", "--strategies", ",".join(STRATEGY_NAMES),
+    )
+    assert rc == 0
+    reports = json.loads(out)
+    assert [r["stderr_exclusive_revenue"] for r in reports] == [None] * len(STRATEGY_NAMES)
 
 
 def test_env_seed_fallback(capsys, golden_mempool_file, monkeypatch):
@@ -408,7 +435,7 @@ GOLDEN_STDOUT = {
     ("verify",): """{
   "passes": true,
   "w": 0.716531310574,
-  "worst_violation": 1.54944104778e-16,
+  "worst_violation": 5.55111512313e-17,
   "brute_force": {
     "passes": true,
     "w": 0.716531310574,
@@ -515,6 +542,7 @@ BAD_PROFILES = {
     "no marginals": {"xhat": 0.0, "w": 1.0},
     "string w": _profile_doc(w="abc"),
     "nan w": _profile_doc(w=math.nan),
+    "negative w": _profile_doc(w=-1),
     "string xhat": _profile_doc(xhat="0"),
     "not json": "{",
     "int past the digit limit": "1" + "0" * 5000,

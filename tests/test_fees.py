@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from txpack import (
     GameParams,
@@ -9,7 +13,9 @@ from txpack import (
     ZeroLatencyError,
     base_fee,
     solve_equilibrium,
+    verify_equilibrium,
 )
+from txpack.equilibrium import log_threshold
 
 from conftest import random_sized_mempool, random_unit_mempool
 
@@ -60,9 +66,39 @@ def test_v_low_equals_threshold(seed):
     fb = base_fee(mp, params, "xhat_aware")
     profile = solve_equilibrium(mp, params, mode="variable")
     assert fb.v_low == profile.w
-    assert fb.v_high == profile.w * np.exp(params.lam)
+    assert fb.v_high == np.exp(profile.log_w + params.lam)
     assert fb.xhat == profile.xhat
     assert fb.v_low <= fb.v_high
+
+
+@st.composite
+def threshold_games(draw):
+    """(mempool, params, mode): 2-39 unit or sized transactions priced e^x with |x| <= 300,
+    often tied, lambda log-uniform in [1e-3, 1e3], and k short of the total size."""
+    m = draw(st.integers(2, 39))
+    distinct = draw(st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=m))
+    prices = np.exp(draw(st.lists(st.sampled_from(distinct), min_size=m, max_size=m)))
+    lam = math.exp(draw(st.floats(math.log(1e-3), math.log(1e3))))
+    if draw(st.booleans()):
+        return Mempool.from_arrays(range(m), prices), GameParams(draw(st.integers(1, m - 1)), lam), "fixed"
+    mp = Mempool.from_arrays(range(m), prices, draw(st.lists(st.floats(0.2, 4.0), min_size=m, max_size=m)))
+    return mp, GameParams(draw(st.floats(0.05, 0.95)) * mp.total_size, lam), "variable"
+
+
+@settings(max_examples=200, deadline=None)
+@given(threshold_games())
+def test_threshold_identities(game):
+    # The profile, the fee bounds and the Nash check share one ln w, wherever
+    # w, e^lambda or a discounted price leaves the float range.
+    mp, params, mode = game
+    profile = solve_equilibrium(mp, params, mode=mode)
+    assert profile.log_w == log_threshold(profile.xhat, mp, params)
+    fb = base_fee(mp, params, "xhat_aware")
+    assert fb.v_low == profile.w
+    with np.errstate(over="ignore"):  # inf past the float range
+        assert fb.v_high == np.exp(profile.log_w + params.lam)
+    assert fb.v_low <= fb.v_high
+    assert verify_equilibrium(profile, mp, params).passes
 
 
 @pytest.mark.parametrize("scale, lam", [(1.0, 1000.0), (1e-300, 100.0)],

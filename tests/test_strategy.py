@@ -24,7 +24,7 @@ from conftest import GOLDEN_INTERVALS, random_unit_mempool
 def profile_from(p, ids=None):
     p = np.asarray(p, dtype=np.float64)
     ids = np.arange(1, len(p) + 1) if ids is None else np.asarray(ids)
-    return MarginalProfile(ids, p, xhat=0.0, w=1.0)
+    return MarginalProfile(ids, p, xhat=0.0, log_w=0.0)
 
 
 def exact_conditional_marginals(p, sizes, lower, upper):
@@ -244,7 +244,7 @@ class TestExactSelection:
 class TestRejectionSampler:
     def test_deterministic_acceptance(self):
         mp = Mempool.from_arrays([0, 1], [1.0, 1.0], [1.0, 2.0])
-        profile = MarginalProfile(mp.ids, np.array([1.0, 1.0]), 0.0, 1.0)
+        profile = MarginalProfile(mp.ids, np.array([1.0, 1.0]), 0.0, log_w=0.0)
         block, attempts = rejection_sample_block(mp, profile, 3.0, np.random.default_rng(0))
         assert attempts == 1
         assert block.txids == frozenset({0, 1})
@@ -253,7 +253,7 @@ class TestRejectionSampler:
     def test_two_coin_outcomes(self):
         # window [0, 2] accepts everything: the four subsets each have mass 1/4
         mp = Mempool.from_arrays([0, 1], [1.0, 1.0])
-        profile = MarginalProfile(mp.ids, np.array([0.5, 0.5]), 0.0, 1.0)
+        profile = MarginalProfile(mp.ids, np.array([0.5, 0.5]), 0.0, log_w=0.0)
         rng = np.random.default_rng(123)
         counts = {frozenset(): 0, frozenset({0}): 0, frozenset({1}): 0, frozenset({0, 1}): 0}
         n = 20_000
@@ -297,7 +297,7 @@ class TestRejectionSampler:
     def test_budget_exhausted(self):
         # acceptance window is unreachable: p = 1 on a tx bigger than k
         mp = Mempool.from_arrays([0], [1.0], [5.0])
-        profile = MarginalProfile(mp.ids, np.array([1.0]), 0.0, 1.0)
+        profile = MarginalProfile(mp.ids, np.array([1.0]), 0.0, log_w=0.0)
         with pytest.raises(RejectionBudgetExceeded, match=r"^no accepted draw in 50 attempts$") as e:
             rejection_sample_block(mp, profile, 2.0, np.random.default_rng(0),
                                    lower=0.0, max_attempts=50)
@@ -308,19 +308,19 @@ class TestRejectionSampler:
     def test_profile_must_match_mempool(self, golden_mempool, golden_params, ids):
         # read by position, the reversed profile's marginals would land on the wrong transactions
         solved = solve_equilibrium(golden_mempool, golden_params).values
-        profile = MarginalProfile(np.array(ids), solved[: len(ids)], 0.0, 1.0)
+        profile = MarginalProfile(np.array(ids), solved[: len(ids)], 0.0, log_w=0.0)
         with pytest.raises(ValidationError, match="profile does not match the mempool"):
             rejection_sample_block(golden_mempool, profile, 3.0, np.random.default_rng(0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -0.5])
     def test_marginal_outside_unit_interval_refused(self, bad):
         mp = Mempool.from_arrays([1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0])
-        profile = MarginalProfile(mp.ids, np.array([bad, 1.0, 1.0, 0.0]), 0.0, 1.0)
+        profile = MarginalProfile(mp.ids, np.array([bad, 1.0, 1.0, 0.0]), 0.0, log_w=0.0)
         with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
             rejection_sample_block(mp, profile, 2.0, np.random.default_rng(0))
 
     def test_empty_window_draws_nothing(self, golden_mempool):
-        profile = MarginalProfile(golden_mempool.ids, np.full(7, 0.5), 0.0, 1.0)
+        profile = MarginalProfile(golden_mempool.ids, np.full(7, 0.5), 0.0, log_w=0.0)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ValidationError, match=r"window \[4\.0, 3\.0\] is empty"):

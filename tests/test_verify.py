@@ -28,7 +28,7 @@ GREEDY_UTILITY = (np.e + np.exp(5 / 12) + 1) * np.exp(-1)
 
 def own_profile(mempool, values):
     """Own marginals, in mempool order, as a profile without a threshold."""
-    return MarginalProfile(mempool.ids, np.asarray(values, dtype=np.float64), 0.0, None)
+    return MarginalProfile(mempool.ids, np.asarray(values, dtype=np.float64), 0.0, log_w=None)
 
 
 def pure(mempool, txids):
@@ -51,7 +51,7 @@ class TestExpectedUtility:
     def test_single_transaction(self):
         mp = Mempool.from_arrays([0], [3.0])
         params = GameParams(k=1, lam=2.0)
-        profile = MarginalProfile(mp.ids, np.array([1.0]), 0.0, 0.0)
+        profile = MarginalProfile(mp.ids, np.array([1.0]), 0.0, log_w=-math.inf)
         report = expected_utility(pure(mp, {0}), profile, mp, params)
         assert report.value == pytest.approx(3.0 * np.exp(-2.0), rel=1e-12)
 
@@ -109,7 +109,7 @@ class TestBestResponse:
         assert report.value == pytest.approx(sym.value, abs=1e-9)
 
     def test_against_empty_field_is_greedy(self, golden_mempool, golden_params):
-        zeros = MarginalProfile(golden_mempool.ids, np.zeros(7), 0.0, 0.0)
+        zeros = MarginalProfile(golden_mempool.ids, np.zeros(7), 0.0, log_w=-math.inf)
         txids, _ = best_response(zeros, golden_mempool, golden_params)
         # top-3 by raw price; tx1 beats tx5/tx6 on input-order tie-break
         assert set(txids) == {1, 2, 4}
@@ -118,14 +118,14 @@ class TestBestResponse:
         # k = 4 takes tx0 (size 2) and tx1 (size 1) whole and a third of tx2 (size 3)
         mp = Mempool.from_arrays([0, 1, 2, 3], [5.0, 4.0, 3.0, 1.0], [2.0, 1.0, 3.0, 1.0])
         params = GameParams(k=4.0, lam=1.0)
-        zeros = MarginalProfile(mp.ids, np.zeros(4), 0.0, 0.0)
+        zeros = MarginalProfile(mp.ids, np.zeros(4), 0.0, log_w=-math.inf)
         txids, report = best_response(zeros, mp, params)
         assert txids == (0, 1, 2)
         assert report.value == pytest.approx(5.0 * 2 + 4.0 * 1 + 3.0 * 3 / 3, rel=1e-12)
 
     def test_k_covers_mempool(self, golden_mempool):
         params = GameParams(k=9, lam=1.0)
-        zeros = MarginalProfile(golden_mempool.ids, np.zeros(7), 0.0, 0.0)
+        zeros = MarginalProfile(golden_mempool.ids, np.zeros(7), 0.0, log_w=-math.inf)
         txids, _ = best_response(zeros, golden_mempool, params)
         assert set(txids) == set(range(1, 8))
 
@@ -189,7 +189,7 @@ class TestVerifyEquilibrium:
         # Every discounted price underflows in floats, so w is estimated from the rescaled ones.
         mp = Mempool.from_arrays(range(4), np.exp(np.arange(4) / 3))
         params = GameParams(k=3, lam=1000.0)
-        absent = replace(solve_equilibrium(mp, params), w=None)
+        absent = replace(solve_equilibrium(mp, params), log_w=None)
         verdict = verify_equilibrium(absent, mp, params)
         assert verdict.passes and verdict.worst_violation == pytest.approx(0.0, abs=1e-12)
         moved = replace(absent, values=absent.values + [0.001, -0.001, 0.0, 0.0])
@@ -198,10 +198,10 @@ class TestVerifyEquilibrium:
 
     def test_zero_w_is_a_threshold_not_absent(self, golden_mempool, golden_params):
         profile = solve_equilibrium(golden_mempool, golden_params)
-        absent = verify_equilibrium(replace(profile, w=None), golden_mempool, golden_params)
+        absent = verify_equilibrium(replace(profile, log_w=None), golden_mempool, golden_params)
         assert absent.passes
         assert absent.w == pytest.approx(np.exp(-1 / 3), rel=1e-9)
-        zero = verify_equilibrium(replace(profile, w=0.0), golden_mempool, golden_params)
+        zero = verify_equilibrium(replace(profile, log_w=-math.inf), golden_mempool, golden_params)
         assert zero.w == 0.0
         assert not zero.passes
 
@@ -209,7 +209,7 @@ class TestVerifyEquilibrium:
     def test_non_finite_marginal_refused(self, bad):
         # Refused up front: Python's max() would drop a NaN violation from the verdict.
         mp = Mempool.from_arrays([1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0])
-        profile = MarginalProfile(mp.ids, np.array([bad, 1.0, 1.0, 0.0]), 0.0, 1.0)
+        profile = MarginalProfile(mp.ids, np.array([bad, 1.0, 1.0, 0.0]), 0.0, log_w=0.0)
         with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
             verify_equilibrium(profile, mp, GameParams(k=2, lam=1.0))
 

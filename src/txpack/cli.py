@@ -161,11 +161,13 @@ def _load_profile(path, mempool: Mempool, params: GameParams) -> MarginalProfile
         return MarginalProfile(mempool.ids, values, xhat, None)
     if w < 0:
         raise ValidationError(f'profile "w" must be >= 0 or null, got {w!r}')
-    # The solver's ln w, where w is its exp, keeps the digits a printed w lost (0 at large lambda).
-    log_w = log_threshold(xhat, mempool, params)
-    with np.errstate(over="ignore"):  # a huge "xhat" gives inf, which no finite w equals
-        if w != float(np.exp(log_w)):
-            log_w = math.log(w) if w > 0 else -math.inf
+    log_w = math.log(w) if w > 0 else -math.inf
+    if xhat is not None:
+        # The solver's ln w, where w is its exp, keeps the digits a printed w lost (0 at large lambda).
+        solver_log_w = log_threshold(xhat, mempool, params)
+        with np.errstate(over="ignore"):  # a huge "xhat" gives inf, which no finite w equals
+            if w == float(np.exp(solver_log_w)):
+                log_w = solver_log_w
     return MarginalProfile(mempool.ids, values, xhat, log_w)
 
 

@@ -173,6 +173,20 @@ def test_verify_external_profile_with_witness(capsys, tmp_path, golden_mempool_f
     assert out == NO_W_PROFILE_STDOUT
 
 
+@pytest.mark.parametrize("w", [0.5, 0])
+def test_verify_profile_with_null_xhat_and_a_w(capsys, tmp_path, golden_mempool_file, w):
+    # "xhat" may be null; a given "w" is then read as it is, with no solver log to recover.
+    ppath = tmp_path / "profile.json"
+    ppath.write_text(json.dumps(_profile_doc(p=3 / 7, xhat=None, w=w)))
+    rc, out, err = run_cli(
+        capsys, "verify", "--mempool", str(golden_mempool_file),
+        "--k", "3", "--lambda", "1", "--profile", str(ppath),
+    )
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["w"] == w and isinstance(doc["passes"], bool)
+
+
 def _verify_equilibrium_output_at_large_lambda(capsys, tmp_path, keep_w: bool) -> dict:
     """verify --profile's report on equilibrium's own output, at lambda 1000 where "w" prints as 0."""
     mempool_path = tmp_path / "pool.json"

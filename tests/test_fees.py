@@ -57,18 +57,27 @@ def test_equal_prices_closed_form():
     assert fb.v_high == pytest.approx(v * np.exp((m - k) * lam / m), rel=1e-12)
 
 
+def check_threshold_identities(mp, params, mode):
+    """The profile, the fee bounds and the Nash check share one ln w, wherever
+    w, e^lambda or a discounted price leaves the float range."""
+    profile = solve_equilibrium(mp, params, mode=mode)
+    assert profile.log_w == log_threshold(profile.xhat, mp, params)
+    fb = base_fee(mp, params, "xhat_aware")
+    assert fb.xhat == profile.xhat
+    assert fb.v_low == profile.w
+    with np.errstate(over="ignore"):  # inf past the float range
+        assert fb.v_high == np.exp(profile.log_w + params.lam)
+    assert fb.v_low <= fb.v_high
+    assert verify_equilibrium(profile, mp, params).passes
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_v_low_equals_threshold(seed):
     rng = np.random.default_rng(400 + seed)
     mp = random_sized_mempool(rng, int(rng.integers(3, 60)))
     k = float(rng.uniform(0.1, 0.9)) * mp.total_size
     params = GameParams(k=k, lam=float(rng.uniform(0.2, 4)))
-    fb = base_fee(mp, params, "xhat_aware")
-    profile = solve_equilibrium(mp, params, mode="variable")
-    assert fb.v_low == profile.w
-    assert fb.v_high == np.exp(profile.log_w + params.lam)
-    assert fb.xhat == profile.xhat
-    assert fb.v_low <= fb.v_high
+    check_threshold_identities(mp, params, "variable")
 
 
 @st.composite
@@ -88,17 +97,7 @@ def threshold_games(draw):
 @settings(max_examples=200, deadline=None)
 @given(threshold_games())
 def test_threshold_identities(game):
-    # The profile, the fee bounds and the Nash check share one ln w, wherever
-    # w, e^lambda or a discounted price leaves the float range.
-    mp, params, mode = game
-    profile = solve_equilibrium(mp, params, mode=mode)
-    assert profile.log_w == log_threshold(profile.xhat, mp, params)
-    fb = base_fee(mp, params, "xhat_aware")
-    assert fb.v_low == profile.w
-    with np.errstate(over="ignore"):  # inf past the float range
-        assert fb.v_high == np.exp(profile.log_w + params.lam)
-    assert fb.v_low <= fb.v_high
-    assert verify_equilibrium(profile, mp, params).passes
+    check_threshold_identities(*game)
 
 
 @pytest.mark.parametrize("scale, lam", [(1.0, 1000.0), (1e-300, 100.0)],

@@ -179,6 +179,9 @@ def cmd_equilibrium(args):
 
 
 def cmd_sample(args):
+    flag, value = ("--r", args.r) if args.mode == "variable" else ("--kprime", args.kprime)
+    if value is not None:
+        raise ValidationError(f"sample --mode {args.mode} does not take {flag}")
     mempool, params = _load(args)
     if args.mode == "variable":
         kprime = args.kprime if args.kprime is not None else 0.95 * params.k

@@ -9,6 +9,7 @@ BLAS, so no result depends on the BLAS thread count.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,13 +96,14 @@ def solve_xhat(raw: np.ndarray, mempool: Mempool, params: GameParams) -> float:
     breakpoints at p(tx) and p(tx)-1. ``raw`` must be compute_phat_real's
     output for this mempool and params: it rises with the log price, so
     ``mempool.price_order``, sorted once per mempool, orders both runs of
-    breakpoints, p and p-1, for every (k, lambda). A Newton search on the
-    table's prefix sums guesses the two breakpoints that bracket the
-    crossing; clamp_sum confirms them, searching outward only where rounding
-    misled the guess; and the root is interpolated on the bracketed linear
-    segment, bit for bit as a binary search over all sorted breakpoints
-    would find it. With the table built, a solve costs a few O(log m)
-    searches plus a constant number of O(m) passes.
+    breakpoints, p and p-1, for every (k, lambda). The search is: guess,
+    confirm, else bisect each run. A Newton search on the table's prefix
+    sums guesses the two breakpoints that bracket the crossing; clamp_sum
+    confirms them; where rounding misled the guess, each run is bisected
+    for its last breakpoint with f above k. The root is interpolated on the
+    bracketed linear segment, bit for bit as a binary search over all
+    sorted breakpoints would find it. With the table built, a solve costs a
+    few O(log m) searches plus a constant number of O(m) passes.
     """
     k = params.k
     sizes = mempool.sizes
@@ -121,8 +123,11 @@ def solve_xhat(raw: np.ndarray, mempool: Mempool, params: GameParams) -> float:
     last = _model_guess(mempool, params)
     left, right = _bracket(raw, order, last)
     if (left is not None and not above(left)) or above(right):
-        # The guess was off; f is monotone, so each run's crossing is found exactly.
-        last = [_last_above(raw, order, r, i, above) for r, i in enumerate(last)]
+        # The guess was off. Each run's breakpoints ascend, so above() is true
+        # then false along it: bisection finds each run's last one above k.
+        ranks = range(len(order))
+        last = [bisect_left(ranks, True, key=lambda j: not above(float(raw[order[j]] - r))) - 1
+                for r in (0, 1)]
         left, right = _bracket(raw, order, last)
     if left is None:
         # f(min(p)-1) <= k: every term clamps to about 1 there, so the
@@ -194,33 +199,12 @@ def _bracket(raw, order, last) -> tuple:
     """(left, right): the larger of the runs' breakpoints at ``last``, and the smaller after it.
 
     Run r holds the breakpoints p - r in ascending order. ``last[r]`` is -1
-    where a run has no such breakpoint; left is None when neither has one.
+    where a run has no such breakpoint; left is None when neither has one,
+    and right is inf when both runs end at ``last``.
     """
     lefts = [raw[order[i]] - r for r, i in enumerate(last) if i >= 0]
     rights = [raw[order[i + 1]] - r for r, i in enumerate(last) if i + 1 < len(order)]
-    return (float(max(lefts)) if lefts else None), float(min(rights))
-
-
-def _last_above(raw, order, r, i, above) -> int:
-    """The last index j of run r with above(p[order[j]] - r), or -1, searched outward from i."""
-    m = len(order)
-
-    def at(j: int) -> bool:
-        return above(float(raw[order[j]] - r))
-
-    lo, hi, step = i, i + 1, 1  # want lo == -1 or at(lo), and hi == m or not at(hi)
-    while lo >= 0 and not at(lo):
-        lo, hi, step = lo - step, lo, 2 * step
-    while hi < m and at(hi):
-        lo, hi, step = hi, hi + step, 2 * step
-    lo, hi = max(lo, -1), min(hi, m)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if at(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return (float(max(lefts)) if lefts else None), float(min(rights, default=np.inf))
 
 
 def log_threshold(xhat: float, mempool: Mempool, params: GameParams) -> float:

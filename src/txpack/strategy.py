@@ -67,7 +67,10 @@ class MixedStrategy:
 class SegmentSampler:
     """Segment layout of a profile, reusable across many draws.
 
-    ``cum[i]`` and ``cum[i + 1]`` bound the segment of ``ids[i]``.
+    ``cum[i]`` and ``cum[i + 1]`` bound the segment of ``ids[i]``. The ends
+    are snapped to finish at exactly k, so a transaction is selected with
+    probability equal to its marginal to rounding plus |sum(p) - k|, the
+    profile's budget residual, which the snap moves onto the last segments.
     """
 
     def __init__(self, profile: MarginalProfile, k: int):
@@ -123,10 +126,14 @@ def _cap_segments(cum: np.ndarray):
 
 
 def corresponding_strategy(profile: MarginalProfile, k: int) -> MixedStrategy:
-    """Explicit mixed strategy whose marginals equal the profile exactly.
+    """Explicit mixed strategy whose marginals equal the profile's.
 
     Atoms are the intervals between the sorted fractional endpoints of the
-    segment layout; all r in one interval select the same k-subset.
+    segment layout; all r in one interval select the same k-subset. Every
+    mix of k-subsets has marginals summing to exactly k, so each induced
+    marginal misses the profile's by at most |sum(p) - k| plus rounding.
+    That residual is at most BUDGET_RTOL * max(1, k), and reaches about
+    3e-11 at small lambda, where xhat is far from 0 and the marginals round.
     """
     sampler = SegmentSampler(profile, k)
     frac = sampler._frac

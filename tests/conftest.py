@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from txpack import GameParams, Mempool, fixed_block_size
 from txpack.strategy import SegmentSampler
@@ -59,6 +61,20 @@ def random_sized_mempool(rng, m):
     prices = np.exp(rng.uniform(-3, 3, m))
     sizes = rng.uniform(0.2, 4.0, m)
     return Mempool.from_arrays(np.arange(m), prices, sizes)
+
+
+@st.composite
+def threshold_games(draw):
+    """(mempool, params, mode): 2-39 unit or sized transactions priced e^x with |x| <= 300,
+    often tied, lambda log-uniform in [1e-3, 1e3], and k short of the total size."""
+    m = draw(st.integers(2, 39))
+    distinct = draw(st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=m))
+    prices = np.exp(draw(st.lists(st.sampled_from(distinct), min_size=m, max_size=m)))
+    lam = math.exp(draw(st.floats(math.log(1e-3), math.log(1e3))))
+    if draw(st.booleans()):
+        return Mempool.from_arrays(range(m), prices), GameParams(draw(st.integers(1, m - 1)), lam), "fixed"
+    mp = Mempool.from_arrays(range(m), prices, draw(st.lists(st.floats(0.2, 4.0), min_size=m, max_size=m)))
+    return mp, GameParams(draw(st.floats(0.05, 0.95)) * mp.total_size, lam), "variable"
 
 
 def exclusion_frequency(mempool, profile, txid, params, trials, seed):

@@ -776,6 +776,26 @@ def test_sample_kprime_above_k_exits_1(capsys, golden_mempool_file):
     assert err == "error: acceptance window [7.0, 3.0] is empty: no draw can fit\n"
 
 
+@pytest.mark.parametrize("mode, flag", [("variable", "--r"), ("fixed", "--kprime")])
+def test_sample_refuses_the_flag_its_mode_ignores(capsys, golden_mempool_file, mode, flag):
+    rc, out, err = run_cli(
+        capsys, "sample", "--mempool", str(golden_mempool_file), "--k", "3", "--lambda", "1",
+        "--mode", mode, flag, "0.5", "--seed", "1",
+    )
+    assert rc == 1 and out == ""
+    assert err == f"error: sample --mode {mode} does not take {flag}\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_verify_refuses_nan_or_negative_tol(capsys, golden_mempool_file, tol):
+    rc, out, err = run_cli(
+        capsys, "verify", "--mempool", str(golden_mempool_file), "--k", "3", "--lambda", "1",
+        "--tol", tol,
+    )
+    assert rc == 1 and out == ""
+    assert err.startswith("error: tol must be >= 0")
+
+
 def test_sample_block_larger_than_mempool(capsys, golden_mempool_file):
     rc, out, err = run_cli(
         capsys, "sample", "--mempool", str(golden_mempool_file), "--k", "10", "--lambda", "1",

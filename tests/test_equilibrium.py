@@ -1,7 +1,9 @@
 import os
 import subprocess
 import sys
+from bisect import bisect_left
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from txpack import (
     solve_equilibrium,
     solve_xhat,
 )
-from txpack.equilibrium import BUDGET_RTOL, clamp_sum
+from txpack.equilibrium import BUDGET_RTOL, _model_guess, clamp_sum
 
 from conftest import (
     GOLDEN_PHAT,
@@ -29,6 +31,7 @@ from conftest import (
     GOLDEN_XHAT,
     random_sized_mempool,
     random_unit_mempool,
+    threshold_games,
 )
 
 
@@ -247,6 +250,40 @@ def test_xhat_bits_match_reference(instance):
     assert got == want
 
 
+def _wrong_guesses(mempool, params):
+    """Guesses for _model_guess that clamp_sum must refute: no breakpoint above k,
+    every one above k, and the model's own guess 3 ranks low or high."""
+    m = len(mempool)
+    model = _model_guess(mempool, params)
+    shifted = [[min(max(i + d, -1), m - 1) for i in model] for d in (-3, 3)]
+    return [[-1, -1], [m - 1, m - 1], *shifted]
+
+
+def _solve_both_from(guess, mempool, params):
+    """_solve_both with the Newton guess replaced by ``guess``, and how often the solve bisected."""
+    with mock.patch("txpack.equilibrium._model_guess", lambda *_: list(guess)), \
+            mock.patch("txpack.equilibrium.bisect_left", wraps=bisect_left) as bisect:
+        return _solve_both(mempool, params), bisect.call_count
+
+
+@pytest.mark.parametrize("which", range(4), ids=["none above", "all above", "3 low", "3 high"])
+def test_golden_fallback_bits_match_reference(golden_mempool, golden_params, which):
+    guess = _wrong_guesses(golden_mempool, golden_params)[which]
+    (got, want), bisections = _solve_both_from(guess, golden_mempool, golden_params)
+    assert got == want
+    assert bisections == 2  # one per run: the guess was refuted
+
+
+@settings(max_examples=100, deadline=None)
+@given(_solver_instances())
+def test_fallback_bits_match_reference(instance):
+    """Whatever the guess, the bisection over each run finds the reference's bits."""
+    mempool, params = instance
+    for guess in _wrong_guesses(mempool, params):
+        (got, want), _ = _solve_both_from(guess, mempool, params)
+        assert got == want
+
+
 @settings(max_examples=100, deadline=None)
 @given(_solver_instances())
 def test_raw_marginals_follow_price_order(instance):
@@ -254,6 +291,20 @@ def test_raw_marginals_follow_price_order(instance):
     mempool, params = instance
     order = mempool.price_order[0]
     assert np.all(np.diff(compute_phat_real(mempool, params)[order]) >= 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(threshold_games(), st.integers(0, 2**32 - 1), st.floats(-50.0, 50.0))
+def test_marginals_ignore_input_order_and_price_unit(game, seed, log_scale):
+    mempool, params, mode = game
+    want = solve_equilibrium(mempool, params, mode=mode).values
+    perm = np.random.default_rng(seed).permutation(len(mempool))
+    shuffled = Mempool.from_arrays(mempool.ids[perm], mempool.prices[perm], mempool.sizes[perm])
+    got = solve_equilibrium(shuffled, params, mode=mode).values
+    assert np.abs(got - want[perm]).max() <= 1e-9
+    rescaled = Mempool.from_arrays(mempool.ids, mempool.prices * np.exp(log_scale), mempool.sizes)
+    got = solve_equilibrium(rescaled, params, mode=mode).values
+    assert np.abs(got - want).max() <= 1e-9
 
 
 class TestClampMarginals:

@@ -1,9 +1,6 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from txpack import (
     GameParams,
@@ -17,7 +14,7 @@ from txpack import (
 )
 from txpack.equilibrium import log_threshold
 
-from conftest import random_sized_mempool, random_unit_mempool
+from conftest import random_sized_mempool, random_unit_mempool, threshold_games
 
 
 def test_golden_xhat_aware(golden_mempool, golden_params):
@@ -78,20 +75,6 @@ def test_v_low_equals_threshold(seed):
     k = float(rng.uniform(0.1, 0.9)) * mp.total_size
     params = GameParams(k=k, lam=float(rng.uniform(0.2, 4)))
     check_threshold_identities(mp, params, "variable")
-
-
-@st.composite
-def threshold_games(draw):
-    """(mempool, params, mode): 2-39 unit or sized transactions priced e^x with |x| <= 300,
-    often tied, lambda log-uniform in [1e-3, 1e3], and k short of the total size."""
-    m = draw(st.integers(2, 39))
-    distinct = draw(st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=m))
-    prices = np.exp(draw(st.lists(st.sampled_from(distinct), min_size=m, max_size=m)))
-    lam = math.exp(draw(st.floats(math.log(1e-3), math.log(1e3))))
-    if draw(st.booleans()):
-        return Mempool.from_arrays(range(m), prices), GameParams(draw(st.integers(1, m - 1)), lam), "fixed"
-    mp = Mempool.from_arrays(range(m), prices, draw(st.lists(st.floats(0.2, 4.0), min_size=m, max_size=m)))
-    return mp, GameParams(draw(st.floats(0.05, 0.95)) * mp.total_size, lam), "variable"
 
 
 @settings(max_examples=200, deadline=None)

@@ -80,6 +80,24 @@ class TestCorrespondingStrategy:
         for txid, p in profile.as_dict().items():
             assert induced.get(txid, 0.0) == pytest.approx(p, abs=1e-12)
 
+    def test_reproduction_bound_at_small_lambda(self):
+        # Tied log prices up to +-300 at lambda in [1e-3, 0.1] put xhat far from 0, so
+        # sum(p) misses k by up to about 3e-11; no k-subset mix can absorb that.
+        rng = np.random.default_rng(29)
+        misses = 0
+        for _ in range(300):
+            m = int(rng.integers(2, 40))
+            distinct = rng.uniform(-300, 300, int(rng.integers(1, m + 1)))
+            mp = Mempool.from_arrays(range(m), np.exp(rng.choice(distinct, m)))
+            k = int(rng.integers(1, m))
+            lam = float(np.exp(rng.uniform(np.log(1e-3), np.log(0.1))))
+            profile = solve_equilibrium(mp, GameParams(k=k, lam=lam))
+            induced = corresponding_strategy(profile, k).induced_marginals()
+            miss = max(abs(induced.get(t, 0.0) - p) for t, p in profile.as_dict().items())
+            assert miss <= abs(float(profile.values.sum()) - k) + 1e-12
+            misses += miss > 1e-12
+        assert misses > 10  # the budget residual, not rounding, sets the bound here
+
 
 class TestSampleBlock:
     def test_golden_probe(self, golden_mempool, golden_params):

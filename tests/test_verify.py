@@ -213,6 +213,13 @@ class TestVerifyEquilibrium:
         with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
             verify_equilibrium(profile, mp, GameParams(k=2, lam=1.0))
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_nan_or_negative_tol_refused(self, golden_mempool, golden_params, tol):
+        # worst <= tol would fail every profile, the solver's own included
+        profile = solve_equilibrium(golden_mempool, golden_params)
+        with pytest.raises(ValidationError, match="tol must be >= 0"):
+            verify_equilibrium(profile, golden_mempool, golden_params, tol=tol)
+
     def test_all_ones_passes_vacuously(self):
         mp = Mempool.from_arrays(range(3), [1.0, 2.0, 3.0])
         params = GameParams(k=3, lam=1.0)

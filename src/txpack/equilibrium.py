@@ -48,13 +48,13 @@ class MarginalProfile:
         """The checked marginals in mempool order; the profile must list the mempool's ids."""
         if len(self.ids) != len(mempool) or not np.array_equal(self.ids, mempool.ids):
             raise ValidationError("profile does not match the mempool")
-        return check_marginals(np.asarray(self.values, dtype=np.float64), "profile marginals")
+        return check_marginals(np.asarray(self.values, dtype=np.float64))
 
 
-def check_marginals(values: np.ndarray, what: str) -> np.ndarray:
+def check_marginals(values: np.ndarray) -> np.ndarray:
     """values, unless one lies outside [0, 1 + 1e-12]: then ValidationError (NaN fails too)."""
     if len(values) and not 0.0 <= values.min() <= values.max() <= 1.0 + 1e-12:
-        raise ValidationError(f"{what} must lie in [0, 1]")
+        raise ValidationError("profile marginals must lie in [0, 1]")
     return values
 
 

@@ -16,8 +16,8 @@ class ZeroLatencyError(ValidationError):
     zero-latency limit should use the greedy best response instead.
     """
 
-    def __init__(self, msg="zero-latency regime; use limit behavior (greedy top-k)"):
-        super().__init__(msg)
+    def __init__(self):
+        super().__init__("zero-latency regime; use limit behavior (greedy top-k)")
 
 
 class MempoolFitsInBlock(TxpackError):

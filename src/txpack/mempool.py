@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -145,24 +146,25 @@ class Mempool:
     def __len__(self):
         return len(self.ids)
 
-    def __eq__(self, other):
-        if not isinstance(other, Mempool):
-            return NotImplemented
-        columns = ("ids", "prices", "sizes")
-        return all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns)
-
     def __repr__(self):
         return f"Mempool({len(self)} txs, total_size={self.total_size:g})"
 
 
 @dataclass(frozen=True)
 class GameParams:
-    """Block capacity k and expected competing blocks per latency window."""
+    """Block capacity k and expected competing blocks per latency window.
+
+    Both are real numbers, not booleans; k is finite and > 0, lambda finite
+    and >= 0. Anything else raises ValidationError.
+    """
 
     k: float
     lam: float
 
     def __post_init__(self):
+        for name, value in (("k", self.k), ("lambda", self.lam)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(self.k) and self.k > 0):
             raise ValidationError(f"k must be finite and > 0, got {self.k!r}")
         if not (math.isfinite(self.lam) and self.lam >= 0):

@@ -24,6 +24,8 @@ from .errors import RejectionBudgetExceeded, ValidationError
 from .mempool import Mempool
 
 _CHUNK_BYTES = 1 << 23  # uniforms drawn per rejection chunk; bounds its memory at large m
+_CHUNK_ROWS = 256  # attempts drawn per rejection chunk, fewer where _CHUNK_BYTES binds
+_MAX_ATTEMPTS = 10_000  # rejection draws before RejectionBudgetExceeded
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,11 +38,6 @@ class Block:
     @cached_property
     def txids(self) -> frozenset:
         return frozenset(self.ids.tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, Block):
-            return NotImplemented
-        return np.array_equal(self.ids, other.ids) and self.used_capacity == other.used_capacity
 
 
 @dataclass(frozen=True)
@@ -78,7 +75,7 @@ class SegmentSampler:
         total = float(values.sum())
         if not abs(total - k) <= BUDGET_RTOL * max(1.0, k):  # NaN fails too
             raise ValidationError(f"profile marginals sum to {total!r}, expected {k}")
-        check_marginals(values, "profile marginals")
+        check_marginals(values)
         nz = np.flatnonzero(values > 0.0)
         self.k = k
         self.ids = profile.ids.take(nz)
@@ -157,40 +154,32 @@ def sample_block(profile: MarginalProfile, r: float, k: int) -> Block:
     return Block(np.sort(ids), float(len(ids)))
 
 
-def rejection_sample_block(
-    mempool: Mempool,
-    profile: MarginalProfile,
-    k: float,
-    rng: np.random.Generator,
-    lower: float | None = None,
-    max_attempts: int = 10_000,
-    chunk: int = 256,
-):
+def rejection_sample_block(mempool: Mempool, profile: MarginalProfile, k: float,
+                           rng: np.random.Generator):
     """Variable-size block sampling by independent draws plus rejection.
 
     The profile should target a reduced capacity k' <= k (sum of s*p = k').
     Draws each transaction independently with its marginal probability and
-    accepts once the drawn capacity lands in [lower, k]; the default lower
-    bound is max(0, 2k' - k). Returns (block, attempts). Attempts are drawn
-    ``chunk`` at a time, fewer when the mempool is large, so the uniforms
-    held at once stay within ``_CHUNK_BYTES``. A profile that does not list
-    the mempool's ids in its order, or an empty window, raises
-    ValidationError before anything is drawn.
+    accepts the first draw whose capacity lands in [max(0, 2k' - k), k].
+    Returns (block, attempts). Attempts are drawn ``_CHUNK_ROWS`` at a time,
+    fewer when the mempool is large, so the uniforms held at once stay
+    within ``_CHUNK_BYTES``; after ``_MAX_ATTEMPTS`` rejections it raises
+    RejectionBudgetExceeded. A profile that does not list the mempool's ids
+    in its order, or an empty window, raises ValidationError before
+    anything is drawn.
     """
     p = profile.values_for(mempool)
     sizes = mempool.sizes
-    kprime = capacity(p, sizes)
-    if lower is None:
-        lower = max(0.0, 2.0 * kprime - k)
+    lower = max(0.0, 2.0 * capacity(p, sizes) - k)
     eps = 1e-12 * max(1.0, k)
     if lower - eps > k + eps:
         raise ValidationError(f"acceptance window [{float(lower)!r}, {float(k)!r}] is empty: no draw can fit")
     # Rows are filled in stream order and each total is summed within its own
     # row, so the chunk height changes neither the accepted draw nor its bits.
-    rows = min(chunk, max(1, _CHUNK_BYTES // (8 * max(1, len(p)))))
+    rows = min(_CHUNK_ROWS, max(1, _CHUNK_BYTES // (8 * max(1, len(p)))))
     attempts = 0
-    while attempts < max_attempts:
-        n = min(rows, max_attempts - attempts)
+    while attempts < _MAX_ATTEMPTS:
+        n = min(rows, _MAX_ATTEMPTS - attempts)
         draws = rng.random((n, len(p))) < p
         totals = np.where(draws, sizes, 0.0).sum(axis=1)
         ok = np.nonzero((totals >= lower - eps) & (totals <= k + eps))[0]
@@ -199,4 +188,4 @@ def rejection_sample_block(
             ids = np.sort(mempool.ids[draws[i]])
             return Block(ids, float(totals[i])), attempts + i + 1
         attempts += n
-    raise RejectionBudgetExceeded(max_attempts)
+    raise RejectionBudgetExceeded(_MAX_ATTEMPTS)

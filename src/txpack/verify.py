@@ -38,7 +38,7 @@ class EquilibriumVerdict:
     passes: bool
     w: float
     worst_violation: float
-    witness: dict | None = None
+    witness: dict | None
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -116,11 +116,11 @@ def verify_equilibrium(
     == w. Violations are measured relative to w, as expm1(ln v - lambda p -
     ln w), and the best response's utility gain relative to the symmetric
     utility. A profile without a threshold (``log_w is None``) is checked
-    against one estimated from its discounted prices. A NaN or negative
-    ``tol`` raises ValidationError.
+    against one estimated from its discounted prices. A NaN, negative or
+    infinite ``tol`` raises ValidationError.
     """
-    if not tol >= 0.0:  # NaN fails too
-        raise ValidationError(f"tol must be >= 0, got {tol!r}")
+    if not 0.0 <= tol < math.inf:  # NaN fails too
+        raise ValidationError(f"tol must be >= 0 and finite, got {tol!r}")
     p, vt, top = _discounted(profile, mempool, params)
     zero = p <= 0.0
     one = p >= 1.0

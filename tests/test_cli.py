@@ -248,11 +248,17 @@ def test_simulate_one_trial_reports_no_stderr(capsys, golden_mempool_file):
 
 
 def test_env_seed_fallback(capsys, golden_mempool_file, monkeypatch):
-    monkeypatch.setenv("TXPACK_SEED", "99")
+    # On the golden file seed 0 draws [2, 4, 5], seed 5 [2, 4, 6] and seed 99 [2, 3, 5].
     args = ("sample", "--mempool", str(golden_mempool_file), "--k", "3", "--lambda", "1")
-    _, out1, _ = run_cli(capsys, *args)
-    _, out2, _ = run_cli(capsys, *args)
-    assert out1 == out2
+    monkeypatch.delenv("TXPACK_SEED", raising=False)
+    _, seed_0, _ = run_cli(capsys, *args)
+    _, seed_5, _ = run_cli(capsys, *args, "--seed", "5")
+    _, seed_99, _ = run_cli(capsys, *args, "--seed", "99")
+    monkeypatch.setenv("TXPACK_SEED", "99")
+    _, from_env, _ = run_cli(capsys, *args)
+    _, flag_wins, _ = run_cli(capsys, *args, "--seed", "5")
+    assert from_env == seed_99 != seed_0
+    assert flag_wins == seed_5 != seed_99
 
 
 def test_empty_mempool_exits_1(capsys, tmp_path):
@@ -786,7 +792,7 @@ def test_sample_refuses_the_flag_its_mode_ignores(capsys, golden_mempool_file, m
     assert err == f"error: sample --mode {mode} does not take {flag}\n"
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 def test_verify_refuses_nan_or_negative_tol(capsys, golden_mempool_file, tol):
     rc, out, err = run_cli(
         capsys, "verify", "--mempool", str(golden_mempool_file), "--k", "3", "--lambda", "1",

@@ -1,4 +1,4 @@
-"""Each demo prints exactly the text below, with RuntimeWarnings raised as errors."""
+"""Every demo prints exactly the text below, with RuntimeWarnings raised as errors."""
 
 import os
 import subprocess
@@ -61,6 +61,10 @@ closed-form symmetric utilities:
   uniform-random-k         2.3188   0.0107    0.0705         2.418
 """,
 }
+
+
+def test_every_demo_is_pinned():
+    assert set(DEMO_STDOUT) == {path.name for path in (ROOT / "demos").glob("*.py")}
 
 
 @pytest.mark.parametrize("demo", DEMO_STDOUT)

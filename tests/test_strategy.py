@@ -269,14 +269,15 @@ class TestRejectionSampler:
         assert block.used_capacity == pytest.approx(3.0)
 
     def test_two_coin_outcomes(self):
-        # window [0, 2] accepts everything: the four subsets each have mass 1/4
+        # k' = 1 at k = 2 gives the window [0, 2], which accepts everything:
+        # the four subsets each have mass 1/4
         mp = Mempool.from_arrays([0, 1], [1.0, 1.0])
         profile = MarginalProfile(mp.ids, np.array([0.5, 0.5]), 0.0, log_w=0.0)
         rng = np.random.default_rng(123)
         counts = {frozenset(): 0, frozenset({0}): 0, frozenset({1}): 0, frozenset({0, 1}): 0}
         n = 20_000
         for _ in range(n):
-            block, attempts = rejection_sample_block(mp, profile, 2.0, rng, lower=0.0)
+            block, attempts = rejection_sample_block(mp, profile, 2.0, rng)
             assert attempts == 1
             counts[block.txids] += 1
         for c in counts.values():
@@ -312,13 +313,14 @@ class TestRejectionSampler:
         se = np.sqrt(np.maximum(oracle * (1 - oracle), 1e-12) / n)
         assert np.all(np.abs(emp - oracle) <= 3 * se + 1e-9)
 
-    def test_budget_exhausted(self):
-        # acceptance window is unreachable: p = 1 on a tx bigger than k
+    def test_budget_exhausted(self, monkeypatch):
+        # k' = 1.25 at k = 2 gives the window [0.5, 2], and every draw of the
+        # one size-5 transaction holds 0 or 5, so none is accepted
         mp = Mempool.from_arrays([0], [1.0], [5.0])
-        profile = MarginalProfile(mp.ids, np.array([1.0]), 0.0, log_w=0.0)
+        profile = MarginalProfile(mp.ids, np.array([0.25]), 0.0, log_w=0.0)
+        monkeypatch.setattr(strategy, "_MAX_ATTEMPTS", 50)
         with pytest.raises(RejectionBudgetExceeded, match=r"^no accepted draw in 50 attempts$") as e:
-            rejection_sample_block(mp, profile, 2.0, np.random.default_rng(0),
-                                   lower=0.0, max_attempts=50)
+            rejection_sample_block(mp, profile, 2.0, np.random.default_rng(0))
         assert e.value.attempts == 50
 
     @pytest.mark.parametrize("ids", [[7, 6, 5, 4, 3, 2, 1], [1, 2, 3, 4, 5, 6]],
@@ -338,11 +340,12 @@ class TestRejectionSampler:
             rejection_sample_block(mp, profile, 2.0, np.random.default_rng(0))
 
     def test_empty_window_draws_nothing(self, golden_mempool):
+        # k' = 3.5 at k = 3 puts the window's floor 2k' - k = 4 above k
         profile = MarginalProfile(golden_mempool.ids, np.full(7, 0.5), 0.0, log_w=0.0)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ValidationError, match=r"window \[4\.0, 3\.0\] is empty"):
-            rejection_sample_block(golden_mempool, profile, 3.0, rng, lower=4.0)
+            rejection_sample_block(golden_mempool, profile, 3.0, rng)
         assert rng.bit_generator.state == state
 
     def test_chunk_height_keeps_the_draw(self, monkeypatch):
@@ -356,7 +359,9 @@ class TestRejectionSampler:
         monkeypatch.setattr(strategy, "_CHUNK_BYTES", 3 * 8 * m)  # three rows per chunk
         capped = rejection_sample_block(mp, profile, k, np.random.default_rng(2))
         assert full[1] > 3
-        assert capped == full
+        assert np.array_equal(capped[0].ids, full[0].ids)
+        assert capped[0].used_capacity == full[0].used_capacity
+        assert capped[1] == full[1]
 
     def test_memory_bounded_at_large_m(self):
         rng = np.random.default_rng(8)

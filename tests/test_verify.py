@@ -213,9 +213,10 @@ class TestVerifyEquilibrium:
         with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
             verify_equilibrium(profile, mp, GameParams(k=2, lam=1.0))
 
-    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
     def test_nan_or_negative_tol_refused(self, golden_mempool, golden_params, tol):
-        # worst <= tol would fail every profile, the solver's own included
+        # worst <= tol would fail every profile, the solver's own included, at
+        # NaN or a negative tol, and pass every one at inf
         profile = solve_equilibrium(golden_mempool, golden_params)
         with pytest.raises(ValidationError, match="tol must be >= 0"):
             verify_equilibrium(profile, golden_mempool, golden_params, tol=tol)

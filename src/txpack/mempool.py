@@ -3,13 +3,17 @@
 Wire format: ``{"transactions": [{"id": int, "gas_price": num, "size": num}, ...]}``
 with ``size`` defaulting to 1.0. Input order is preserved and acts as the
 canonical tie-break order everywhere else in the package. ``load_mempool``
-parses the wire format into columns with ``read_records``, the JSON record
-reader the CLI's profiles share, and ``Mempool.from_arrays``, the one
+parses the wire format into columns and ``Mempool.from_arrays``, the one
 constructor, applies one rule set to them: ids are unique, non-negative,
 non-boolean 64-bit integers; ``gas_price`` and ``size`` are ints or floats
 (not booleans or strings), finite and > 0. A violation raises
-ValidationError naming the offending id. ``fixed_block_size`` is fixed
-mode's one rule: integer k, unit sizes, and min(k, m) transactions a block.
+ValidationError naming the offending id. The columns come from
+``_fast_columns``, which parses the array with orjson a slice at a time,
+or, where it declines or its columns fail those rules, from
+``read_records``, the ``json`` record reader the CLI's profiles share;
+so every accepted mempool, refusal and message is ``read_records``'.
+``fixed_block_size`` is fixed mode's one rule: integer k, unit sizes, and
+min(k, m) transactions a block.
 """
 
 from __future__ import annotations
@@ -17,10 +21,12 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import orjson
 
 from .errors import ValidationError
 
@@ -219,15 +225,86 @@ def read_records(source, what: str, key: str, fields: dict) -> tuple:
     return doc, columns
 
 
+_WS = rb"[ \t\n\r]*"  # JSON's whitespace; a bytes \s also takes \f and \v, which json refuses
+_HEAD = re.compile(_WS + rb"\{" + _WS + rb'"transactions"' + _WS + rb":" + _WS + rb"\[" + _WS + rb"\{")
+_TAIL = re.compile(rb"\}" + _WS + rb"\]" + _WS + rb"\}" + _WS + rb"\Z")
+_CUT = re.compile(rb"\}" + _WS + rb"," + _WS + rb"\{")
+_TAIL_BYTES = 1 << 12  # the closing }]} is looked for in the document's last 4 KiB
+_SLICE_BYTES = 1 << 15  # array bytes parsed per orjson call
+_MAX_OPENS = _SLICE_BYTES // 16  # above the flat records of 22+ bytes that a slice holds
+_MEMPOOL_FIELDS = {"id": None, "gas_price": None, "size": 1.0}
+
+
+def _fast_columns(raw):
+    """(ids, prices, sizes) arrays of a ``{"transactions": [{...}, ...]}`` document, or None.
+
+    The array is cut at ``}, {`` (JSON whitespace around the comma) into
+    slices of about ``_SLICE_BYTES``; each is parsed as ``[{slice}]`` and
+    turned into columns before the next, so the records never all exist at
+    once. A cut inside a string leaves the string open, which orjson
+    refuses; so when every slice parses, the document is valid JSON and its
+    array is the slices' concatenation.
+
+    None leaves the document to ``read_records``. That happens unless the
+    document is strict UTF-8 with no top-level key but "transactions" and
+    every slice holds no ``[`` and one ``{`` per record, each record a dict
+    with an integer id and int or float gas_price and size. Records are then
+    flat, so json's recursion limit cannot refuse them, and orjson, whose
+    recursion has no limit, never nests deeper than ``_MAX_OPENS``. orjson
+    refuses NaN, Infinity and lone surrogates, and reads ints past 64 bits
+    as floats.
+    """
+    if isinstance(raw, str):
+        try:
+            raw = raw.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, which json.loads reads in a str
+            return None
+    head = _HEAD.match(raw) if isinstance(raw, bytes) else None
+    tail = _TAIL.search(raw, len(raw) - _TAIL_BYTES) if head else None
+    if tail is None:
+        return None
+    view, start, end = memoryview(raw), head.end(), tail.start()
+    chunks = []
+    while True:
+        cut = _CUT.search(raw, start + _SLICE_BYTES, end)
+        piece = b"".join((b"[{", view[start:cut.start() if cut else end], b"}]"))
+        opens = int(np.count_nonzero(np.frombuffer(piece, np.uint8) == ord("{")))
+        if piece.find(b"[", 1) >= 0 or opens > _MAX_OPENS:
+            return None
+        try:
+            records = orjson.loads(piece)
+            ids = [r["id"] for r in records]
+            prices = [r["gas_price"] for r in records]
+            sizes = [r.get("size", 1.0) for r in records]
+            if (len(records) != opens or {*map(type, ids)} != {int}
+                    or not {*map(type, prices), *map(type, sizes)} <= {int, float}):
+                return None
+            chunks.append((np.array(ids, dtype=np.int64), np.array(prices, dtype=np.float64),
+                           np.array(sizes, dtype=np.float64)))
+        except (orjson.JSONDecodeError, TypeError, KeyError, AttributeError, OverflowError):
+            return None
+        if cut is None:
+            return tuple(np.concatenate(column) for column in zip(*chunks))
+        start = cut.end()
+
+
 def load_mempool(source) -> Mempool:
     """Parse the JSON wire format into a validated Mempool.
 
     Accepts a file-like object, bytes, or str. Ordering of the input array
-    is preserved.
+    is preserved. Where ``_fast_columns`` declines, or its columns break a
+    rule of ``from_arrays``, the ``json`` reader's result or error is the
+    answer, so both readers accept and refuse the same documents.
     """
-    fields = {"id": None, "gas_price": None, "size": 1.0}
+    raw = source.read() if hasattr(source, "read") else source
+    columns = _fast_columns(raw)
+    if columns is not None:
+        try:
+            return Mempool.from_arrays(*columns)
+        except ValidationError:  # the json reader below words the refusal
+            del columns
     # Keeping only the columns frees the parsed records before the arrays are built.
-    return Mempool.from_arrays(*read_records(source, "mempool", "transactions", fields)[1])
+    return Mempool.from_arrays(*read_records(raw, "mempool", "transactions", _MEMPOOL_FIELDS)[1])
 
 
 def load_mempool_file(path) -> Mempool:

@@ -92,14 +92,32 @@ def best_response(others: MarginalProfile, mempool: Mempool, params: GameParams)
 
 
 def _best_response_to(vt: np.ndarray, mempool: Mempool, params: GameParams):
-    """(txids, utility) of best_response against the discounted prices vt, in vt's unit."""
+    """(txids, utility) of best_response against the discounted prices vt, in vt's unit.
+
+    Only the prefix of the price order that fills k matters. Every index
+    whose vt is at least the b-th largest, b = floor(k / min size) + 2,
+    comes first in the full order, and b of them overfill k; sorting just
+    those gives the same prefix and the same prefix sums. Where rounding
+    keeps them from crossing k, the full order is sorted instead.
+    """
     sizes = mempool.sizes
-    order = np.argsort(-vt, kind="stable")  # stable keeps input order on ties
-    filled = np.cumsum(sizes[order])
+    m = len(mempool)
+    b = params.k / float(sizes.min()) + 2 if m else m
+    order = None
+    if b < m:
+        kth = np.partition(vt, m - int(b))[m - int(b)]
+        candidates = np.flatnonzero(vt >= kth)
+        order = candidates[np.argsort(-vt[candidates], kind="stable")]
+        filled = np.cumsum(sizes[order])
+        if filled[-1] <= params.k:
+            order = None
+    if order is None:
+        order = np.argsort(-vt, kind="stable")  # stable keeps input order on ties
+        filled = np.cumsum(sizes[order])
     n_whole = int(np.searchsorted(filled, params.k, side="right"))
-    p_own = np.zeros(len(mempool))
+    p_own = np.zeros(m)
     p_own[order[:n_whole]] = 1.0
-    if n_whole < len(mempool):
+    if n_whole < m:
         room = params.k - (filled[n_whole - 1] if n_whole else 0.0)
         p_own[order[n_whole]] = min(1.0, room / sizes[order[n_whole]])
     contributions = p_own * sizes * vt

@@ -1,11 +1,19 @@
+import decimal
 import json
+import math
+import re
+import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import txpack.mempool as mempool_module
 from txpack import GameParams, Mempool, ValidationError, load_mempool
+from txpack.mempool import read_records
 
 from conftest import mempool_json
 
@@ -164,3 +172,205 @@ _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, all
 def test_dump_load_round_trip(rows):
     mp = Mempool.from_arrays([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
     _assert_same_columns(load_mempool(mempool_json(mp)), mp)
+
+
+# The chunked orjson reader against the json one. A document's columns, or its
+# ValidationError message, must be the same whichever reader takes it.
+
+FIELDS = {"id": None, "gas_price": None, "size": 1.0}
+LAYOUTS = {  # json.dumps arguments, and the top-level object's key and item separators
+    "default": ({}, ": ", ", "),
+    "compact": ({"separators": (",", ":")}, ":", ","),
+    "indent": ({"indent": 2}, ": ", ",\n  "),
+}
+
+
+def json_reader(doc):
+    """``load_mempool`` as it was before the fast reader: columns or the error message."""
+    try:
+        return Mempool.from_arrays(*read_records(doc, "mempool", "transactions", FIELDS)[1])
+    except ValidationError as e:
+        return str(e)
+
+
+def read_both(doc):
+    try:
+        fast = load_mempool(doc)
+    except ValidationError as e:
+        fast = str(e)
+    return fast, json_reader(doc)
+
+
+def assert_same_outcome(fast, ref):
+    if isinstance(ref, str):
+        assert fast == ref
+    else:
+        assert not isinstance(fast, str), fast
+        for column in ("ids", "prices", "sizes"):
+            assert getattr(fast, column).tobytes() == getattr(ref, column).tobytes(), column
+
+
+def render(pairs, layout, literals):
+    """Top-level object text from (key, value) pairs, duplicates kept.
+
+    The string ``"\\0lit<i>\\0"`` anywhere inside is written as the number literal ``literals[i]``.
+    """
+    kwargs, key_sep, item_sep = LAYOUTS[layout]
+    text = "{" + item_sep.join(json.dumps(k) + key_sep + json.dumps(v, **kwargs) for k, v in pairs) + "}"
+    for i, lit in enumerate(literals):
+        text = text.replace(json.dumps(f"\0lit{i}\0"), lit)
+    return text
+
+
+def _halfway(x: float) -> str:
+    """The exact decimal midway between x and the next float up: a rounding tie."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200
+        return str((decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2)
+
+
+def _rarely(common, odd):
+    """``odd`` one draw in sixteen, else ``common``: most documents stay on the fast path."""
+    return st.integers(0, 15).flatmap(lambda n: odd if n == 5 else common)
+
+
+_normal = st.floats(min_value=2.2250738585072014e-308, max_value=1e300)
+_number_literals = _rarely(
+    st.one_of(
+        _normal.map(repr),
+        _normal.map(lambda x: f"{x:.17g}"),
+        st.integers(1, 2**52 - 1).map(lambda n: f"{n * 5e-324:.17g}"),  # subnormal
+        st.one_of(_normal, st.integers(1, 2**52 - 1).map(lambda n: n * 5e-324)).map(_halfway),
+        st.integers(1, 2**80).map(str),
+    ),
+    st.sampled_from(["1" + "0" * 400, "1" + "0" * 4400, "1e400", "NaN", "-1", "0", "true", '"3"']),
+)
+_ids = _rarely(st.integers(0, 2**63 - 1), st.sampled_from([2**63, 2**64, 2**64 + 1, -1, 1.5, True, 7]))
+_extras = st.dictionaries(
+    st.sampled_from(["memo", "x", "tags"]),
+    _rarely(st.one_of(st.text(max_size=8), st.integers(-2**63, 2**63)),
+            st.sampled_from(["}, {", "}]}", '"}, {"', "\\", float("nan"), [{"a": 1}, {"b": [2]}],
+                             "\ud800", 2**70])),
+    max_size=2,
+)
+
+
+@st.composite
+def wire_records(draw, literals):
+    """One record, a dict or (one in twenty) not an object, with its number literals noted."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from([5, "x", None, [1], []]))
+
+    def literal():
+        literals.append(draw(_number_literals))
+        return f"\0lit{len(literals) - 1}\0"
+
+    rec = {"id": draw(_ids), "gas_price": literal()}
+    if draw(st.booleans()):
+        rec["size"] = literal()
+    rec.update(draw(_extras))
+    keys = draw(st.permutations(list(rec)))
+    return {k: rec[k] for k in keys}
+
+
+@st.composite
+def wire_documents(draw):
+    """A mempool document as bytes or str in one of three layouts, now and then with a twist."""
+    literals = []
+    records = draw(_rarely(st.lists(wire_records(literals), min_size=1, max_size=6), st.just([])))
+    pairs = [("transactions", records)]
+    where = draw(_rarely(st.just("only"), st.sampled_from(["before", "after", "duplicate"])))
+    if where == "before":
+        pairs.insert(0, ("note", [{"a": 1}]))
+    elif where == "after":
+        pairs.append(("note", "}]}"))
+    elif where == "duplicate":
+        pairs.append(("transactions", records[:1]))
+    text = render(pairs, draw(st.sampled_from(sorted(LAYOUTS))), literals)
+    twist = draw(_rarely(st.just("none"), st.sampled_from(["odd space", "bom", "raw surrogate"])))
+    if twist == "odd space":  # \f or \v after a structural character, or at either end
+        marks = [0, len(text)] + [m.end() for m in re.finditer(r'"(?:[^"\\]|\\.)*"|[\[\]{}:,]', text)
+                                  if m.group()[0] != '"']
+        at = draw(st.sampled_from(marks))
+        text = text[:at] + draw(st.sampled_from(["\f", "\v"])) + text[at:]
+    elif twist == "bom":
+        text = "\ufeff" + text
+    elif twist == "raw surrogate" and "\\ud800" in text:
+        text = text.replace("\\ud800", "\ud800")
+    if draw(st.booleans()):
+        try:
+            return text.encode("utf-8")
+        except UnicodeEncodeError:
+            pass
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=wire_documents(), slice_bytes=st.sampled_from([1, 9, 40, mempool_module._SLICE_BYTES]))
+def test_fast_reader_matches_json(doc, slice_bytes):
+    with mock.patch.object(mempool_module, "_SLICE_BYTES", slice_bytes):
+        assert_same_outcome(*read_both(doc))
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_fast_reader_takes_every_layout(layout):
+    literals = ["2.5", "1e-310"]
+    records = [{"id": 4, "gas_price": "\0lit0\0"}, {"id": 2**63 - 1, "gas_price": "\0lit1\0", "size": 3}]
+    doc = render([("transactions", records)], layout, literals) + "\n"
+    columns = mempool_module._fast_columns(doc.encode())
+    assert [c.tolist() for c in columns] == [[4, 2**63 - 1], [2.5, 1e-310], [1.0, 3.0]]
+    assert_same_outcome(load_mempool(doc), json_reader(doc))
+
+
+@pytest.mark.parametrize("doc", [
+    '{"transactions": []}',
+    '{"transactions": [{"id": 1, "gas_price": 2}], "note": 1}',
+    '{"note": 1, "transactions": [{"id": 1, "gas_price": 2}]}',
+    '{"transactions": [{"id": 1, "gas_price": 2}]}\f',
+    '\v{"transactions": [{"id": 1, "gas_price": 2}]}',
+    '\ufeff{"transactions": [{"id": 1, "gas_price": 2}]}',
+    '{"transactions": [{"id": 1, "gas_price": 2, "x": [1]}]}',
+    '{"transactions": [{"id": 1, "gas_price": 2, "x": {"y": 1}}]}',
+    '{"transactions": [{"id": 1, "gas_price": 2, "x": "{"}]}',
+    '{"transactions": [{"id": 1, "gas_price": NaN}]}',
+    '{"transactions": [{"id": 18446744073709551616, "gas_price": 2}]}',
+    '{"transactions": [{"id": 1, "gas_price": 2, "x": "\ud800"}]}',
+    '{"transactions": [{"id": 1, "gas_price": 2, "x": "\\ud800"}]}',
+    '{"transactions": [{"id": true, "gas_price": 2}]}',
+    '{"transactions": [{"id": 1, "gas_price": "2"}]}',
+    '{"transactions": [{"id": 1}]}',
+    '{"transactions": [{"id": 1, "gas_price": 2}, 5]}',
+    '{"transactions": [{"id": 1, "gas_price": 2}' + " " * 5000 + "]}",
+])
+def test_fast_reader_declines(doc):
+    assert mempool_module._fast_columns(doc) is None
+    assert_same_outcome(*read_both(doc))
+
+
+@pytest.mark.parametrize("open_, value, close, depth", [
+    ("[", "", "]", 200_000), ('{"a": ', "1", "}", 200_000), ('{"a": ', "1", "}", 1_500),
+])
+def test_deep_nesting_goes_to_the_json_reader(open_, value, close, depth):
+    # json raises RecursionError past about 1,000 levels. orjson parses 1,500,
+    # and at 200,000 its unlimited recursion overflows the C stack. The fast
+    # reader hands all three to json.
+    nested = open_ * depth + value + close * depth
+    with pytest.raises(RecursionError):
+        load_mempool('{"transactions": [{"id": 1, "gas_price": 2, "x": ' + nested + "}]}")
+
+
+def test_reader_memory_stays_below_the_records():
+    # The records of a whole-document parse would take m dicts at once; the slices never do.
+    m = 200_000
+    rng = np.random.default_rng(3)
+    doc = mempool_json(Mempool.from_arrays(rng.permutation(m), np.exp(rng.uniform(-3, 3, m)),
+                                           rng.uniform(0.2, 4, m))).encode()
+    record = json.loads(doc[doc.index(b"{", 1):doc.index(b"}") + 1])
+    tracemalloc.start()
+    try:
+        mp = load_mempool(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(mp) == m
+    assert peak < m * sys.getsizeof(record) / 2

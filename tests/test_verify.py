@@ -19,6 +19,7 @@ from txpack import (
     verify_equilibrium,
 )
 from txpack.equilibrium import MarginalProfile
+from txpack.verify import _best_response_to
 
 from conftest import random_sized_mempool, random_unit_mempool
 
@@ -128,6 +129,43 @@ class TestBestResponse:
         zeros = MarginalProfile(golden_mempool.ids, np.zeros(7), 0.0, log_w=-math.inf)
         txids, _ = best_response(zeros, golden_mempool, params)
         assert set(txids) == set(range(1, 8))
+
+
+def full_sort_best_response(vt, mempool, params):
+    """The best response from a stable sort of all m discounted prices."""
+    order = np.argsort(-vt, kind="stable")
+    filled = np.cumsum(mempool.sizes[order])
+    n_whole = int(np.searchsorted(filled, params.k, side="right"))
+    p_own = np.zeros(len(mempool))
+    p_own[order[:n_whole]] = 1.0
+    if n_whole < len(mempool):
+        room = params.k - (filled[n_whole - 1] if n_whole else 0.0)
+        p_own[order[n_whole]] = min(1.0, room / mempool.sizes[order[n_whole]])
+    return tuple(mempool.ids[p_own > 0.0].tolist()), float(np.sum(p_own * mempool.sizes * vt))
+
+
+@st.composite
+def tied_knapsacks(draw):
+    """(vt, mempool, params): 1-60 discounted prices from at most 3 values, unit sizes
+    with integer k or sizes in [0.2, 4] with k log-uniform in [0.005, 1.2] of their total."""
+    m = draw(st.integers(1, 60))
+    distinct = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    vt = np.array(draw(st.lists(st.sampled_from(distinct), min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        return vt, Mempool.from_arrays(range(m), np.ones(m)), GameParams(draw(st.integers(1, m + 2)), 1.0)
+    mp = Mempool.from_arrays(range(m), np.ones(m), draw(st.lists(st.floats(0.2, 4.0), min_size=m, max_size=m)))
+    share = math.exp(draw(st.floats(math.log(0.005), math.log(1.2))))
+    return vt, mp, GameParams(share * mp.total_size, 1.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tied_knapsacks())
+def test_partial_sort_best_response_matches_the_full_sort(game):
+    vt, mp, params = game
+    txids, utility = _best_response_to(vt, mp, params)
+    ref_txids, ref_utility = full_sort_best_response(vt, mp, params)
+    assert txids == ref_txids
+    assert utility == ref_utility  # bit for bit
 
 
 class TestVerifyEquilibrium:

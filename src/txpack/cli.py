@@ -2,15 +2,18 @@
 
 All numeric JSON output is printed with 12 significant digits, and any
 invocation repeated with identical flags and seed produces byte-identical
-output. The writer renders declared ``Rows`` (the equilibrium marginals) and
-lists of scalars with one format template per element. Exit codes: 0 success,
-1 validation error, 2 usage error, 3 internal invariant violation.
+output. The writer streams to the output file or stdout: declared ``Rows``
+(the equilibrium marginals) and lists of scalars are rendered in blocks of
+``_BLOCK_ROWS`` rows with one %-template per element, so the rows' strings
+and text never all exist at once. Exit codes: 0 success, 1 validation error,
+2 usage error, 3 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
+import contextlib
+import io
 import json
 import math
 import os
@@ -45,20 +48,20 @@ def _scalar(v) -> str:
 
 
 def _column(values: list):
-    """(format field, arguments) rendering a list of scalars, or None if any is a container."""
+    """(conversion, arguments) rendering a list of scalars, or None if any is a container."""
     types = set(map(type, values))
     if any(issubclass(t, (dict, list, tuple)) for t in types):
         return None
     if types == {int}:
-        return "{}", values
+        return "%d", values
     if all(issubclass(t, float) for t in types) and all(map(math.isfinite, values)):
-        return "{:.12g}", values
-    return "{}", list(map(_scalar, values))
+        return "%.12g", values
+    return "%s", list(map(_scalar, values))
 
 
 @dataclass(frozen=True)
 class Rows:
-    """Records as scalar columns, written as objects {keys[j]: columns[j][i]}; no key has braces."""
+    """Scalar columns (lists or numpy arrays) written as objects {keys[j]: columns[j][i]}."""
 
     keys: tuple
     columns: tuple
@@ -67,67 +70,79 @@ class Rows:
         return len(self.columns[0])
 
 
-def _row_template(items, pad: str):
-    """One format template per element and its argument columns, or None.
+_BLOCK_ROWS = 1 << 12  # rows of a table rendered per join
 
-    Applies to Rows and to a list of scalars; anything else goes through
-    the general walk.
+
+def _part(column, start: int, stop: int):
+    """Items start:stop of a list, tuple or numpy column, as Python scalars."""
+    part = column[start:stop]
+    return part.tolist() if isinstance(part, np.ndarray) else part
+
+
+def _table_block(items, start: int, stop: int, pad: str):
+    """Rows start:stop of ``Rows`` or a list of scalars, each line indented by pad, or None.
+
+    One %-template renders every row; None leaves a list holding a
+    container to the general walk.
     """
     if isinstance(items, Rows):
-        cols = list(map(_column, items.columns))
-        fields = [f"{pad}  {json.dumps(key)}: {fmt}" for key, (fmt, _) in zip(items.keys, cols)]
-        return pad + "{{\n" + ",\n".join(fields) + "\n" + pad + "}}", [c for _, c in cols]
-    col = _column(items)
-    return None if col is None else (pad + col[0], [col[1]])
+        cols = [_column(_part(c, start, stop)) for c in items.columns]
+        fields = [f"{pad}  {json.dumps(key)}: ".replace("%", "%%") + conversion
+                  for key, (conversion, _) in zip(items.keys, cols)]
+        template = pad + "{\n" + ",\n".join(fields) + "\n" + pad + "}"
+    else:
+        col = _column(_part(items, start, stop))
+        if col is None:
+            return None
+        template, cols = pad + col[0], [col]
+    return ",\n".join(map(template.__mod__, zip(*(args for _, args in cols))))
 
 
-def _write(obj, out: list, pad: str):
-    """Append the tokens of obj to out; pad is the indent of the line obj starts on."""
+def _write(obj, out, pad: str):
+    """Write obj to the text stream out; pad is the indent of the line obj starts on."""
     inner = pad + "  "
     if isinstance(obj, dict):
-        out.append("{\n")
+        out.write("{\n")
         sep = inner
         for k, v in obj.items():
-            out.append(f"{sep}{json.dumps(str(k))}: ")
+            out.write(f"{sep}{json.dumps(str(k))}: ")
             _write(v, out, inner)
             sep = ",\n" + inner
-        out.append("\n" + pad + "}")
+        out.write("\n" + pad + "}")
     elif isinstance(obj, (Rows, list, tuple)):
         if not obj:
-            out.append("[]")
+            out.write("[]")
             return
-        out.append("[\n")
-        table = _row_template(obj, inner)
-        if table is None:
-            sep = inner
-            for v in obj:
-                out.append(sep)
-                _write(v, out, inner)
-                sep = ",\n" + inner
-        else:
-            template, columns = table
-            out.append(template.format(*(c[0] for c in columns)))
-            rest = (itertools.islice(c, 1, None) for c in columns)
-            out.extend(map((",\n" + template).format, *rest))
-        out.append("\n" + pad + "]")
+        out.write("[\n")
+        sep = ""
+        for start in range(0, len(obj), _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            block = _table_block(obj, start, stop, inner)
+            if block is None:
+                for v in obj[start:stop]:
+                    out.write(sep + inner)
+                    _write(v, out, inner)
+                    sep = ",\n"
+            else:
+                out.write(sep)
+                out.write(block)
+                sep = ",\n"
+        out.write("\n" + pad + "]")
     else:
-        out.append(_scalar(obj))
+        out.write(_scalar(obj))
 
 
 def _dumps12(obj) -> str:
     """JSON indented by two spaces, with floats rendered at 12 significant digits."""
-    out: list = []
+    out = io.StringIO()
     _write(obj, out, "")
-    return "".join(out)
+    return out.getvalue()
 
 
 def _emit(doc, out_path):
-    text = _dumps12(doc) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as out:
+        _write(doc, out, "")
+        out.write("\n")
 
 
 def _seed(args) -> int:
@@ -174,7 +189,7 @@ def _load_profile(path, mempool: Mempool, params: GameParams) -> MarginalProfile
 def cmd_equilibrium(args):
     # No name keeps the mempool (and its price-order table) alive through the emit.
     profile = solve_equilibrium(*_load(args), mode=args.mode)
-    marginals = Rows(("id", "p"), (profile.ids.tolist(), profile.values.tolist()))
+    marginals = Rows(("id", "p"), (profile.ids, profile.values))
     _emit({"marginals": marginals, "xhat": profile.xhat, "w": profile.w}, args.out)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import numbers
 import re
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ import numpy as np
 import orjson
 
 from .errors import ValidationError
+from .workers import fork_map, usable_cpus
 
 
 def _first_of_wrong_type(values: list, allowed: tuple):
@@ -232,42 +234,23 @@ _CUT = re.compile(rb"\}" + _WS + rb"," + _WS + rb"\{")
 _TAIL_BYTES = 1 << 12  # the closing }]} is looked for in the document's last 4 KiB
 _SLICE_BYTES = 1 << 15  # array bytes parsed per orjson call
 _MAX_OPENS = _SLICE_BYTES // 16  # above the flat records of 22+ bytes that a slice holds
+# Arrays this long or longer are parsed in forked workers: twice the crossover
+# measured on a 2-vCPU VM, where 8.8 MiB (1.5e5 unit records) was a wash.
+_FORK_BYTES = 20 << 20
 _MEMPOOL_FIELDS = {"id": None, "gas_price": None, "size": 1.0}
 
 
-def _fast_columns(raw):
-    """(ids, prices, sizes) arrays of a ``{"transactions": [{...}, ...]}`` document, or None.
+def _slice_columns(raw: bytes, bounds: list):
+    """(ids, prices, sizes) of the array slices ``raw[start:stop]`` in ``bounds``, or None.
 
-    The array is cut at ``}, {`` (JSON whitespace around the comma) into
-    slices of about ``_SLICE_BYTES``; each is parsed as ``[{slice}]`` and
-    turned into columns before the next, so the records never all exist at
-    once. A cut inside a string leaves the string open, which orjson
-    refuses; so when every slice parses, the document is valid JSON and its
-    array is the slices' concatenation.
-
-    None leaves the document to ``read_records``. That happens unless the
-    document is strict UTF-8 with no top-level key but "transactions" and
-    every slice holds no ``[`` and one ``{`` per record, each record a dict
-    with an integer id and int or float gas_price and size. Records are then
-    flat, so json's recursion limit cannot refuse them, and orjson, whose
-    recursion has no limit, never nests deeper than ``_MAX_OPENS``. orjson
-    refuses NaN, Infinity and lone surrogates, and reads ints past 64 bits
-    as floats.
+    Each slice is parsed as ``[{slice}]`` and turned into columns before the
+    next. None when a slice holds ``[`` or more than ``_MAX_OPENS`` ``{``, or
+    when it is not one flat record per ``{``, each a dict with an integer id
+    and int or float gas_price and size.
     """
-    if isinstance(raw, str):
-        try:
-            raw = raw.encode("utf-8")
-        except UnicodeEncodeError:  # a lone surrogate, which json.loads reads in a str
-            return None
-    head = _HEAD.match(raw) if isinstance(raw, bytes) else None
-    tail = _TAIL.search(raw, len(raw) - _TAIL_BYTES) if head else None
-    if tail is None:
-        return None
-    view, start, end = memoryview(raw), head.end(), tail.start()
-    chunks = []
-    while True:
-        cut = _CUT.search(raw, start + _SLICE_BYTES, end)
-        piece = b"".join((b"[{", view[start:cut.start() if cut else end], b"}]"))
+    view, chunks = memoryview(raw), []
+    for start, stop in bounds:
+        piece = b"".join((b"[{", view[start:stop], b"}]"))
         opens = int(np.count_nonzero(np.frombuffer(piece, np.uint8) == ord("{")))
         if piece.find(b"[", 1) >= 0 or opens > _MAX_OPENS:
             return None
@@ -283,9 +266,78 @@ def _fast_columns(raw):
                            np.array(sizes, dtype=np.float64)))
         except (orjson.JSONDecodeError, TypeError, KeyError, AttributeError, OverflowError):
             return None
-        if cut is None:
-            return tuple(np.concatenate(column) for column in zip(*chunks))
+    return tuple(np.concatenate(column) for column in zip(*chunks))
+
+
+def _group_columns(state: tuple, task: tuple):
+    """Record count of one group of slices, whose columns go to its region of ``shared``; or None.
+
+    ``state`` is (raw, shared) and ``task`` (offset, capacity, bounds): the
+    region holds ``capacity`` ids, then as many prices, then sizes.
+    """
+    raw, shared = state
+    offset, capacity, bounds = task
+    columns = _slice_columns(raw, bounds)
+    if columns is None or len(columns[0]) > capacity:
+        return None
+    for j, column in enumerate(columns):
+        np.frombuffer(shared, column.dtype, len(column), offset + 8 * j * capacity)[:] = column
+    return len(columns[0])
+
+
+def _fast_columns(raw):
+    """(ids, prices, sizes) arrays of a ``{"transactions": [{...}, ...]}`` document, or None.
+
+    The array is cut at ``}, {`` (JSON whitespace around the comma) into
+    slices of about ``_SLICE_BYTES``, and ``_slice_columns`` parses them with
+    orjson one at a time, so the records never all exist at once. A cut
+    inside a string leaves the string open, which orjson refuses; so when
+    every slice parses, the document is valid JSON and its array is the
+    slices' concatenation. An array of ``_FORK_BYTES`` or more is dealt in
+    contiguous groups of slices to one forked worker per usable CPU
+    (``workers.fork_map``). Each worker writes its group's columns to its
+    own region of a shared anonymous map, so no column crosses a pipe, and
+    the groups' columns are joined in order.
+
+    None leaves the document to ``read_records``. That happens unless the
+    document is strict UTF-8 with no top-level key but "transactions" and
+    ``_slice_columns`` takes every slice. Records are then flat, so json's
+    recursion limit cannot refuse them, and orjson, whose recursion has no
+    limit, never nests deeper than ``_MAX_OPENS``. orjson refuses NaN,
+    Infinity and lone surrogates, and reads ints past 64 bits as floats.
+    """
+    if isinstance(raw, str):
+        try:
+            raw = raw.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, which json.loads reads in a str
+            return None
+    head = _HEAD.match(raw) if isinstance(raw, bytes) else None
+    tail = _TAIL.search(raw, len(raw) - _TAIL_BYTES) if head else None
+    if tail is None:
+        return None
+    start, end = head.end(), tail.start()
+    bounds = []
+    while (cut := _CUT.search(raw, start + _SLICE_BYTES, end)) is not None:
+        bounds.append((start, cut.start()))
         start = cut.end()
+    bounds.append((start, end))
+    workers = usable_cpus() if end - head.end() >= _FORK_BYTES else 1
+    if workers == 1:
+        return _slice_columns(raw, bounds)
+    step = -(-len(bounds) // workers)
+    groups = [bounds[i:i + step] for i in range(0, len(bounds), step)]
+    # A region holds more records than its group's bytes can: each takes 22 or more.
+    capacities = [(group[-1][1] - group[0][0]) // 16 + 1 for group in groups]
+    offsets = [24 * sum(capacities[:i]) for i in range(len(groups))]
+    shared = mmap.mmap(-1, 24 * sum(capacities))
+    counts = fork_map(_group_columns, (raw, shared), list(zip(offsets, capacities, groups)))
+    if None in counts:
+        return None
+    return tuple(
+        np.concatenate([np.frombuffer(shared, dtype, n, offset + 8 * j * capacity)
+                        for offset, capacity, n in zip(offsets, capacities, counts)])
+        for j, dtype in enumerate((np.int64, np.float64, np.float64))
+    )
 
 
 def load_mempool(source) -> Mempool:

@@ -12,9 +12,8 @@ earlier trials are unaffected by the trial count. ``run_experiment`` makes
 each trial's draws from its own substream, then selects and accounts for
 a whole chunk of trials with a few array operations; a chunk holds about
 ``_CHUNK_BYTES``, and its height changes no trial's outcome. The chunks of
-all strategies run in forked worker processes, one per usable CPU; they
-run in this process when there is one usable CPU or one chunk, when the
-platform cannot fork, or when this process is a daemonic worker itself.
+all strategies run through ``workers.fork_map``, in forked worker
+processes, one per usable CPU, or in this process where that cannot be.
 Each trial is reduced within its own row and the reports are computed
 from the outcomes in trial order, so the output does not depend on the
 CPU count.
@@ -23,7 +22,6 @@ CPU count.
 from __future__ import annotations
 
 import numbers
-import os
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -33,6 +31,7 @@ from .errors import ValidationError
 from .mempool import GameParams, Mempool, fixed_block_size
 from .strategy import SegmentSampler
 from .verify import greedy_profile
+from .workers import fork_map
 
 STRATEGY_NAMES = ("equilibrium", "greedy", "uniform-random-k")
 _CHUNK_BYTES = 1 << 18  # block positions and per-position flags held per chunk of trials
@@ -134,60 +133,21 @@ def _chunk_trials(state: tuple, task: tuple) -> np.ndarray:
     return _chunk_outcomes(select(np.concatenate(draws)), gammas, fees)
 
 
-_forked_state = None  # set by _adopt, in pool workers only
-
-
-def _adopt(state: tuple):
-    global _forked_state
-    _forked_state = state
-
-
-def _forked_chunk(task: tuple) -> np.ndarray:
-    return _chunk_trials(_forked_state, task)
-
-
 def _trial_outcomes(sources: list, fees: np.ndarray, lam: float, seed: int, trials: int) -> list:
     """Each source's (4, trials) per-trial outcomes (see ``_chunk_outcomes``).
 
     A source's trials are split into chunks of about ``_CHUNK_BYTES`` of
-    flags and positions, and the (source, chunk) tasks run in forked
-    workers, one per usable CPU and at most one per task. Workers inherit
-    the sources and ``fees``, so their closures and m-sized arrays are
-    never pickled: only chunk bounds go out and (4, n) outcomes come back.
-    The tasks run here, one after another, when there is one worker, when
-    the platform lacks ``sched_getaffinity`` or the fork start method, or
-    when this process is daemonic and so may not have children. Each
-    trial's outcome comes from its own substream and row, so the result is
-    the same either way.
+    flags and positions, and ``fork_map`` runs the (source, chunk) tasks in
+    forked workers, which inherit the sources and ``fees``: their closures
+    and m-sized arrays are never pickled, only chunk bounds go out and
+    (4, n) outcomes come back. Each trial's outcome comes from its own
+    substream and row, so the result is the same wherever the tasks run.
     """
     tasks = []
     for s_idx, (k, _, _) in enumerate(sources):
         height = max(1, int(_CHUNK_BYTES // (8 * (len(fees) + (lam + 1) * k))))
         tasks += [(s_idx, start, min(start + height, trials)) for start in range(0, trials, height)]
-    state = (sources, fees, lam, seed)
-    workers = min(len(os.sched_getaffinity(0)), len(tasks)) if hasattr(os, "sched_getaffinity") else 1
-    parts = None
-    if workers > 1:
-        # Imported only here: txpack.cli imports this module, and importing
-        # multiprocessing would add about 10 ms to every CLI start.
-        import multiprocessing
-
-        if ("fork" in multiprocessing.get_all_start_methods()
-                and not multiprocessing.current_process().daemon):
-            # Fork, not spawn: the sources' closures cannot be pickled. This
-            # process starts no threads of its own, and OpenBLAS stops its
-            # pool around a fork, so the workers inherit no held lock.
-            pool = multiprocessing.get_context("fork").Pool(workers, _adopt, (state,))
-            try:
-                parts = pool.map(_forked_chunk, tasks)
-                pool.close()
-            except BaseException:
-                pool.terminate()
-                raise
-            finally:
-                pool.join()
-    if parts is None:
-        parts = [_chunk_trials(state, task) for task in tasks]
+    parts = fork_map(_chunk_trials, (sources, fees, lam, seed), tasks)
     return [np.concatenate([part for (s, _, _), part in zip(tasks, parts) if s == s_idx], axis=1)
             for s_idx in range(len(sources))]
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -50,6 +51,10 @@ def mempool_json(mempool):
     return json.dumps({"transactions": [
         {"id": i, "gas_price": v, "size": s} for i, v, s in zip(*columns)
     ]})
+
+
+def set_usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def random_unit_mempool(rng, m):

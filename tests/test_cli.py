@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from txpack import (
     run_experiment,
     solve_equilibrium,
 )
+import txpack.cli as cli_module
 from txpack.cli import Rows, _dumps12, main
 from txpack.simulate import STRATEGY_NAMES
 
@@ -725,6 +727,25 @@ def test_rows_write_like_dict_rows(records, xhat, w):
     rows = {"marginals": Rows(("id", "p"), (ids, ps)), "xhat": xhat, "w": w}
     dict_rows = {"marginals": [{"id": i, "p": p} for i, p in records], "xhat": xhat, "w": w}
     assert _dumps12(rows) == _reference_dumps12(dict_rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_docs, st.integers(1, 3))
+def test_blocks_write_like_one_block(doc, block_rows):
+    # Lists of scalars whose blocks differ in kind: some templated, some walked.
+    with mock.patch.object(cli_module, "_BLOCK_ROWS", block_rows):
+        assert _dumps12(doc) == _reference_dumps12(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**63 - 1), _marginal), max_size=20), st.integers(1, 3))
+def test_array_rows_write_like_dict_rows(records, block_rows):
+    # The CLI's Rows hold numpy columns; a non-finite p prints null in whichever block it falls.
+    ids = np.array([i for i, _ in records], dtype=np.int64)
+    ps = np.array([p for _, p in records], dtype=np.float64)
+    dict_rows = {"marginals": [{"id": i, "p": p} for i, p in records]}
+    with mock.patch.object(cli_module, "_BLOCK_ROWS", block_rows):
+        assert _dumps12({"marginals": Rows(("id", "p"), (ids, ps))}) == _reference_dumps12(dict_rows)
 
 
 def _seeded_mempool_file(tmp_path, kind):

@@ -1,6 +1,8 @@
 import decimal
 import json
 import math
+import multiprocessing
+import os
 import re
 import sys
 import tracemalloc
@@ -13,9 +15,10 @@ from hypothesis import strategies as st
 
 import txpack.mempool as mempool_module
 from txpack import GameParams, Mempool, ValidationError, load_mempool
+from txpack.cli import Rows, _emit
 from txpack.mempool import read_records
 
-from conftest import mempool_json
+from conftest import mempool_json, set_usable_cpus
 
 
 def test_load_golden_fixture(golden_mempool):
@@ -312,6 +315,62 @@ def test_fast_reader_matches_json(doc, slice_bytes):
         assert_same_outcome(*read_both(doc))
 
 
+@settings(max_examples=100, deadline=None)
+@given(doc=wire_documents(), cpus=st.sampled_from([2, 3]), slice_bytes=st.sampled_from([1, 9, 40]))
+def test_forked_reader_matches_serial(doc, cpus, slice_bytes):
+    # Small slices deal the records of even a short document to several workers.
+    with mock.patch.object(mempool_module, "_SLICE_BYTES", slice_bytes):
+        serial, _ = read_both(doc)
+        with (mock.patch.object(mempool_module, "_FORK_BYTES", 0),
+              mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True)):
+            forked, _ = read_both(doc)
+    assert_same_outcome(forked, serial)
+
+
+def _fork_every_slice(monkeypatch, cpus):
+    """Fork at any size, one record a slice; returns the list that collects each call's groups."""
+    set_usable_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(mempool_module, "_FORK_BYTES", 0)
+    monkeypatch.setattr(mempool_module, "_SLICE_BYTES", 1)
+    groups, real = [], mempool_module.fork_map
+    monkeypatch.setattr(mempool_module, "fork_map",
+                        lambda func, state, tasks: groups.append(tasks) or real(func, state, tasks))
+    return groups
+
+
+@pytest.mark.parametrize("last, fast, outcome", [
+    ('{"id": 29, "gas_price": 30}', True, None),
+    ('{"id": true, "gas_price": 30}', False, "transaction id must be a non-negative integer, got True"),
+    ('{"id": 29, "gas_price": 30, "x": {"y": 1}}', False, None),
+    ('{"id": 29, "gas_price": NaN}', False, "transaction 29: gas_price must be finite and > 0"),
+])
+def test_forked_reader_refuses_in_the_last_group(monkeypatch, last, fast, outcome):
+    records = [f'{{"id": {i}, "gas_price": {i + 1}}}' for i in range(29)] + [last]
+    doc = '{"transactions": [' + ", ".join(records) + "]}"
+    groups = _fork_every_slice(monkeypatch, 3)
+    assert (mempool_module._fast_columns(doc) is not None) == fast
+    # One group of ten slices a worker: the last record is the third worker's.
+    assert [len(bounds) for _, _, bounds in groups[0]] == [10, 10, 10]
+    got, ref = read_both(doc)
+    assert_same_outcome(got, ref)
+    if outcome is None:
+        assert got.ids.tolist() == list(range(30))
+    else:
+        assert got == outcome
+
+
+def test_forked_reader_error_leaves_no_worker(monkeypatch):
+    def fail(raw, bounds):
+        raise ValueError(f"slices {bounds} failed")
+
+    _fork_every_slice(monkeypatch, 2)
+    monkeypatch.setattr(mempool_module, "_slice_columns", fail)
+    doc = '{"transactions": [{"id": 1, "gas_price": 2}, {"id": 2, "gas_price": 3}]}'
+    with pytest.raises(ValueError, match="slices"):
+        load_mempool(doc)
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_fast_reader_takes_every_layout(layout):
     literals = ["2.5", "1e-310"]
@@ -374,3 +433,21 @@ def test_reader_memory_stays_below_the_records():
         tracemalloc.stop()
     assert len(mp) == m
     assert peak < m * sys.getsizeof(record) / 2
+
+
+@pytest.mark.parametrize("kind", ["arrays", "lists"])
+def test_writer_memory_stays_below_the_text(tmp_path, kind):
+    # Rows are written a block at a time: never every row string, nor the whole text, at once.
+    m = 200_000
+    rng = np.random.default_rng(4)
+    columns = (rng.permutation(m), rng.uniform(0.0, 1.0, m))
+    if kind == "lists":
+        columns = tuple(c.tolist() for c in columns)
+    path = tmp_path / "profile.json"
+    tracemalloc.start()
+    try:
+        _emit({"marginals": Rows(("id", "p"), columns), "xhat": 0.5, "w": 0.75}, str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4

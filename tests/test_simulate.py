@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import exclusion_frequency, random_unit_mempool
+from conftest import set_usable_cpus as _set_usable_cpus
 
 from txpack import (
     GameParams,
@@ -233,10 +234,6 @@ def test_uniform_strategy_runs(golden_mempool):
     assert report.mean_exclusive_revenue > 0
 
 
-def _set_usable_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
 @pytest.mark.filterwarnings("error::DeprecationWarning")
 def test_pool_matches_serial(monkeypatch):
     # Many chunks per strategy, so that both workers take several. With one
@@ -299,11 +296,14 @@ def test_runs_inside_daemonic_worker(monkeypatch):
     assert inside == _reports_in_this_process()
 
 
-def test_cli_import_leaves_out_multiprocessing():
+def test_cli_import_leaves_out_multiprocessing(golden_mempool_file):
+    # Nor does loading a mempool below the forked reader's floor, such as the golden one.
     src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, txpack.cli; print('multiprocessing' in sys.modules); "
+            "txpack.cli.load_mempool_file(sys.argv[1]); print('multiprocessing' in sys.modules)")
     run = subprocess.run(
-        [sys.executable, "-c", "import sys, txpack.cli; print('multiprocessing' in sys.modules)"],
+        [sys.executable, "-c", code, str(golden_mempool_file)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    assert run.stdout.split() == ["False", "False"]

@@ -9,6 +9,7 @@ BLAS, so no result depends on the BLAS thread count.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -73,8 +74,9 @@ def compute_phat_real(mempool: Mempool, params: GameParams) -> np.ndarray:
     With unit sizes this is k/m + (ln v(tx) - mean ln v) / lambda.
     """
     check_solver_inputs(mempool, params)
-    shifted = mempool.log_prices - mempool.mean_log_price
-    return params.k / mempool.total_size + shifted / params.lam
+    raw = mempool.centered_log_prices / params.lam
+    raw += params.k / mempool.total_size
+    return raw
 
 
 def capacity(values: np.ndarray, sizes: np.ndarray) -> float:
@@ -85,7 +87,7 @@ def capacity(values: np.ndarray, sizes: np.ndarray) -> float:
 def clamp_sum(values: np.ndarray, sizes: np.ndarray, x: float) -> float:
     """Capacity used by the truncated marginals min(max(p - x, 0), 1)."""
     t = values - x
-    np.clip(t, 0.0, 1.0, out=t)
+    t.clip(0.0, 1.0, out=t)
     return capacity(t, sizes)
 
 
@@ -96,14 +98,20 @@ def solve_xhat(raw: np.ndarray, mempool: Mempool, params: GameParams) -> float:
     breakpoints at p(tx) and p(tx)-1. ``raw`` must be compute_phat_real's
     output for this mempool and params: it rises with the log price, so
     ``mempool.price_order``, sorted once per mempool, orders both runs of
-    breakpoints, p and p-1, for every (k, lambda). The search is: guess,
-    confirm, else bisect each run. A Newton search on the table's prefix
-    sums guesses the two breakpoints that bracket the crossing; clamp_sum
-    confirms them; where rounding misled the guess, each run is bisected
-    for its last breakpoint with f above k. The root is interpolated on the
-    bracketed linear segment, bit for bit as a binary search over all
-    sorted breakpoints would find it. With the table built, a solve costs a
-    few O(log m) searches plus a constant number of O(m) passes.
+    breakpoints, p and p-1, for every (k, lambda), and gives p at any rank
+    by the formula compute_phat_real applies, bit for bit. The search is:
+    guess, confirm, else bisect each run. A Newton search on the table's
+    prefix sums guesses the two breakpoints that bracket the crossing.
+    clamp_sum confirms the left one, whose f the interpolation needs; the
+    right one is confirmed from the table where its model value is below k
+    by more than the rounding bound, else by clamp_sum. Where rounding
+    misled the guess, each run is bisected for its last breakpoint with f
+    above k. The root is interpolated on the bracketed linear segment, bit
+    for bit as a binary search over all sorted breakpoints would find it.
+    With the table built, a solve costs O(log m) scalar steps and, unless
+    the guess is refuted, these O(m) passes: compute_phat_real's raw
+    marginals, one clamp_sum, and for sized mempools the slope's mask and
+    compress; solve_equilibrium adds the final clamp.
     """
     k = params.k
     sizes = mempool.sizes
@@ -112,99 +120,183 @@ def solve_xhat(raw: np.ndarray, mempool: Mempool, params: GameParams) -> float:
         raise MempoolFitsInBlock(
             f"total capacity {total:g} < block capacity {k:g}; package everything"
         )
-    order = mempool.price_order[0]
-    f_at = {}
-
-    def above(x: float) -> bool:
-        if x not in f_at:
-            f_at[x] = clamp_sum(raw, sizes, x)
-        return f_at[x] > k
-
+    table = mempool.price_order
+    at = (table[3], float(k / total), float(params.lam))  # the raw marginals by rank
     last = _model_guess(mempool, params)
-    left, right = _bracket(raw, order, last)
-    if (left is not None and not above(left)) or above(right):
-        # The guess was off. Each run's breakpoints ascend, so above() is true
-        # then false along it: bisection finds each run's last one above k.
-        ranks = range(len(order))
-        last = [bisect_left(ranks, True, key=lambda j: not above(float(raw[order[j]] - r))) - 1
+    left, right, reads = _bracket(at, last)
+    f_left = None if left is None else clamp_sum(raw, sizes, left)
+    if (f_left is not None and not f_left > k) or (
+            not _proves_at_most_k(table, at, last, reads, right, k) and clamp_sum(raw, sizes, right) > k):
+        # The guess was off. Each run's breakpoints ascend, so f is above k
+        # then not along it: bisection finds each run's last one above k.
+        ranks = range(len(raw))
+        last = [bisect_left(ranks, True, key=lambda j: not clamp_sum(raw, sizes, _raw_at(at, j) - r) > k) - 1
                 for r in (0, 1)]
-        left, right = _bracket(raw, order, last)
+        left, right, reads = _bracket(at, last)
+        f_left = None if left is None else clamp_sum(raw, sizes, left)
     if left is None:
         # f(min(p)-1) <= k: every term clamps to about 1 there, so the
         # equation holds on an unbounded interval and the smallest breakpoint
         # is the canonical leftmost finite answer.
         return right
-    f_left = f_at[left]
     pos = 0.5 * (left + right)
     if mempool.is_unit_size:  # a sum of ones is the count, in any order
-        inside = np.searchsorted(raw, pos + 1.0, "left", sorter=order)
-        inside -= np.searchsorted(raw, pos, "right", sorter=order)
-        slope = -float(max(inside, 0))  # pos + 1.0 == pos once |pos| >= 2**53
-    else:
-        slope = -float(sizes[(raw > pos) & (raw < pos + 1.0)].sum())
+        slope = -float(max(_count_inside(raw, last, reads, pos), 0))
+    else:  # compress keeps mempool order, so the pairwise sum has a boolean index's bits
+        slope = -float(np.compress((raw > pos) & (raw < pos + 1.0), sizes).sum())
     if slope == 0.0:
         # Degenerate flat bracket; only reachable through rounding noise.
         return right if f_left > k else left
     return left + (k - f_left) / slope
 
 
+def _raw_at(at: tuple, j: int) -> float:
+    """The raw marginal at rank j of the price order, with compute_phat_real's bits."""
+    sorted_centered, q, lam = at
+    return q + sorted_centered.item(j) / lam
+
+
+def _bracket(at: tuple, last) -> tuple:
+    """(left, right, reads): the larger of the runs' breakpoints at ``last``, and the smaller after it.
+
+    Run r holds the breakpoints p - r in ascending order. ``last[r]`` is -1
+    where a run has no such breakpoint; left is None when neither has one,
+    and right is inf when both runs end at ``last``. ``reads`` holds the raw
+    marginals at ranks last[0], last[0] + 1, last[1] and last[1] + 1, with
+    -inf below rank 0 and inf past the top.
+    """
+    m, (i, j) = len(at[0]), last
+    reads = (_raw_at(at, i) if i >= 0 else -math.inf, _raw_at(at, i + 1) if i + 1 < m else math.inf,
+             _raw_at(at, j) if j >= 0 else -math.inf, _raw_at(at, j + 1) if j + 1 < m else math.inf)
+    left = None if i < 0 and j < 0 else max(reads[0], reads[2] - 1.0)
+    return left, min(reads[1], reads[3] - 1.0), reads
+
+
+def _count_inside(raw: np.ndarray, last, reads: tuple, pos: float) -> int:
+    """#(raw < pos + 1) - #(raw <= pos): the raw marginals in (pos, pos + 1), or fewer if pos + 1 == pos.
+
+    Where the bracket's ranks split the sorted raw marginals at pos and at
+    pos + 1, as they do unless rounding put pos on a breakpoint, its
+    ``reads`` decide it; else it is counted in one pass.
+    """
+    hi = pos + 1.0
+    if reads[0] <= pos < reads[1] and reads[2] < hi <= reads[3]:
+        return last[1] - last[0]
+    return int(np.count_nonzero((raw > pos) & (raw < hi)))
+
+
+def _proves_at_most_k(table: tuple, at: tuple, last, reads: tuple, x: float, k: float) -> bool:
+    """Whether the table proves clamp_sum(raw, sizes, x) <= k for the bracket's right end x.
+
+    With z, o = last + 1 and no raw marginal below rank z above x (x is at
+    most the one at rank z), the terms below z are 0, those in [z, o) at
+    most s*(p - x) and those from o on at most s. The model value on the
+    piece (z, o), the piece the Newton search ended on, is that upper bound
+    from the table's prefix sums. Every rounding in between (the raw
+    marginals, the prefix sums, the model's terms and clamp_sum's sum) is
+    at most gamma_n = n*u/(1 - n*u) times the sum of its terms' magnitudes,
+    with u = 2**-53 and n <= m + 8, in any summation order (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, section
+    4.2). Those magnitudes sum to at most S*(1 + k/S + |x - k/S|) +
+    spread/lambda, S the total size, so the model value plus 8*gamma_n
+    times that is below k only if clamp_sum is.
+    """
+    if x == math.inf:
+        return True  # every term clamps to 0
+    _, size_sums, sums, _, spread = table
+    _, q, lam = at
+    if last[1] < last[0] or reads[0] > x:
+        return False
+    m = len(sums) - 1
+    value, _ = _piece_value(size_sums, sums, m, last[0] + 1, last[1] + 1, lam * (x - q), lam)
+    gamma = (m + 8) * _UNIT / (1.0 - (m + 8) * _UNIT)
+    bound = 8.0 * gamma * (size_sums.item(m) * (1.0 + q + abs(x - q)) + spread / lam)
+    return value + bound < k  # NaN fails too
+
+
+_UNIT = 2.0 ** -53  # unit roundoff of float64
+
+
+def _piece_value(size_sums, sums, m: int, zero: int, one: int, y: float, lam: float) -> tuple:
+    """(model value, interior size) at centered log threshold y on the piece (zero, one).
+
+    Terms at ranks below ``zero`` clamp to 0, those from ``one`` to m - 1
+    to 1, and each one between is s*(c - y)/lambda, c its centered log price.
+    """
+    above = size_sums.item(one)
+    inner = above - size_sums.item(zero)
+    return size_sums.item(m) - above + (sums.item(one) - sums.item(zero) - inner * y) / lam, inner
+
+
 def _model_guess(mempool: Mempool, params: GameParams) -> list:
     """Per run, a guess at the last index whose breakpoint has f above k, or -1.
 
-    With y the log price whose raw marginal is the shift, the model reads f
-    from the price-order table: terms whose log price is below y clamp to 0,
-    those from y + lambda up clamp to 1, and the rest are interior. It is
-    piecewise linear in y, with the breakpoints of f, and equals clamp_sum's
-    value up to rounding. Newton's method from the shift 0 finds the piece
-    holding the model's root, bisecting the bracket whenever a step would
-    leave it.
+    With y the centered log price whose raw marginal is the shift, the
+    model reads f from the price-order table: terms whose centered log
+    price is below y clamp to 0, those from y + lambda up clamp to 1, and
+    the rest are interior. It is piecewise linear in y, with the
+    breakpoints of f, and equals clamp_sum's value up to rounding. Newton's
+    method finds the piece holding the model's root, from the middle of a
+    bracket that the prefix sums give. If it has not ended after
+    ``_NEWTON_STEPS`` evaluations, or a step would leave the bracket, the
+    search bisects ranks instead: it bounds, per run, the count of
+    breakpoints with the model above k, and evaluates the median candidate
+    of the run with more candidates, which lowers the bit length of that
+    run's bound width by at least 1. So the search makes at most
+    _NEWTON_STEPS + 2 * bit_length(m) model evaluations.
     """
-    order, size_sums, log_sums = mempool.price_order
-    log_prices, k, lam = mempool.log_prices, params.k, params.lam
-    m = len(order)
-    total = size_sums[m]
+    _, size_sums, sums, sc, _ = mempool.price_order
+    k, lam = params.k, float(params.lam)
+    m = len(sc)
+    total = size_sums.item(m)
     if total <= k:
         return [-1, -1]
-    # The model is total below every breakpoint and 0 at the top one.
-    lo, hi = log_prices[order[0]] - lam - 1.0, log_prices[order[m - 1]]
-    y = log_threshold(0.0, mempool, params)  # exact if nothing clamps
-    if not lo < y < hi:
-        y = 0.5 * (lo + hi)
-    newton_piece = None
-    for _ in range(_MAX_STEPS):
-        piece = log_prices.searchsorted((y, y + lam), sorter=order).tolist()
-        if piece == newton_piece:  # the Newton step stayed in its piece, so y is the root
+    # The model at y lies between the size priced from y + lambda up and
+    # the size priced from y up. Ranks from r on hold at most k and ranks
+    # from r - 1 on more, so the root lies in [c(r - 1) - lambda, c(r)].
+    r = int(size_sums.searchsorted(total - k))
+    lo, hi = sc.item(r - 1) - lam, sc.item(min(r, m - 1))
+    y = 0.5 * (lo + hi)
+    piece = sc.searchsorted((y, y + lam)).tolist()
+    for _ in range(_NEWTON_STEPS):
+        if not lo < y < hi:
             break
-        zero, one = piece
-        inner = size_sums[one] - size_sums[zero]
-        value = total - size_sums[one] + (log_sums[one] - log_sums[zero] - inner * y) / lam
+        value, inner = _piece_value(size_sums, sums, m, piece[0], piece[1], y, lam)
         if value > k:
             lo = y
         else:
             hi = y
-        newton_piece = piece
-        y = y + (value - k) * lam / inner if inner > 0 else hi
-        if not lo < y < hi:
-            newton_piece = None
-            y = 0.5 * (lo + hi)
-            if not lo < y < hi:
-                break
-    return [piece[0] - 1, piece[1] - 1]
+        if inner <= 0:
+            break
+        y = y + (value - k) * lam / inner
+        newton = sc.searchsorted((y, y + lam)).tolist()
+        if newton == piece:  # the step stayed in its piece, so y is the root
+            return [piece[0] - 1, piece[1] - 1]
+        piece = newton
+    # Bisect ranks. Breakpoints at or below lo have the model above k, and
+    # those at or above hi do not.
+    low0, low1 = sc.searchsorted((lo, lo + lam), "right").tolist()
+    high0, high1 = sc.searchsorted((hi, hi + lam)).tolist()
+    while low0 < high0 or low1 < high1:
+        if high0 - low0 >= high1 - low1:
+            run, c = 0, sc.item((low0 + high0) // 2)
+            ends = (c, c + lam)
+        else:
+            run, c = 1, sc.item((low1 + high1) // 2)
+            ends = (c - lam, c)  # c itself: c - lambda + lambda may round off it
+        zero, one = piece = sc.searchsorted(ends).tolist()
+        value, _ = _piece_value(size_sums, sums, m, zero, one, ends[0], lam)
+        if value > k:  # past every rank tied with the median, too
+            tied = int(sc.searchsorted(c, "right"))
+            low0, low1 = max(low0, tied if run == 0 else zero), max(low1, tied if run == 1 else one)
+        else:
+            high0, high1 = min(high0, zero), min(high1, one)
+        if low0 > high0 or low1 > high1:
+            return [piece[0] - 1, piece[1] - 1]  # rounding made the model disagree with itself
+    return [low0 - 1, low1 - 1]
 
 
-_MAX_STEPS = 64  # model evaluations before the exact search takes over from the guess
-
-
-def _bracket(raw, order, last) -> tuple:
-    """(left, right): the larger of the runs' breakpoints at ``last``, and the smaller after it.
-
-    Run r holds the breakpoints p - r in ascending order. ``last[r]`` is -1
-    where a run has no such breakpoint; left is None when neither has one,
-    and right is inf when both runs end at ``last``.
-    """
-    lefts = [raw[order[i]] - r for r, i in enumerate(last) if i >= 0]
-    rights = [raw[order[i + 1]] - r for r, i in enumerate(last) if i + 1 < len(order)]
-    return (float(max(lefts)) if lefts else None), float(min(rights, default=np.inf))
+_NEWTON_STEPS = 6  # model evaluations before the search bisects ranks
 
 
 def log_threshold(xhat: float, mempool: Mempool, params: GameParams) -> float:
@@ -215,8 +307,13 @@ def log_threshold(xhat: float, mempool: Mempool, params: GameParams) -> float:
 def clamp_marginals(
     raw: np.ndarray, xhat: float, mempool: Mempool, params: GameParams
 ) -> MarginalProfile:
-    """Truncate raw marginals at xhat and attach the equilibrium threshold's log."""
-    values = np.clip(raw - xhat, 0.0, 1.0)
+    """Truncate raw marginals at xhat and attach the equilibrium threshold's log; raw is kept."""
+    return _clamped(raw - xhat, xhat, mempool, params)
+
+
+def _clamped(values: np.ndarray, xhat: float, mempool: Mempool, params: GameParams) -> MarginalProfile:
+    """The profile of shifted marginals ``values``, which it clips in place and keeps."""
+    values.clip(0.0, 1.0, out=values)
     profile = MarginalProfile(mempool.ids, values, float(xhat), log_threshold(xhat, mempool, params))
     used = capacity(values, mempool.sizes)
     if not abs(used - params.k) <= BUDGET_RTOL * max(1.0, params.k):  # NaN fails too
@@ -245,7 +342,8 @@ def solve_equilibrium(mempool: Mempool, params: GameParams, mode: str = "fixed")
         log_w = log_threshold(xhat, mempool, params)
         profile = MarginalProfile(mempool.ids, np.ones(len(mempool)), xhat, log_w)
     else:
-        profile = clamp_marginals(raw, xhat, mempool, params)
+        raw -= xhat  # this solve's own array, so it becomes the profile's values
+        profile = _clamped(raw, xhat, mempool, params)
     mempool.last_solve = (params.k, params.lam, xhat)  # one tuple, replaced whole
     return profile
 

@@ -122,20 +122,33 @@ class Mempool:
         return bool(np.all(self.sizes == 1.0))
 
     @cached_property
-    def price_order(self) -> tuple:
-        """The solver's table, built once: (order, size_sums, log_sums).
+    def centered_log_prices(self) -> np.ndarray:
+        """Read-only ``log_prices - mean_log_price``: the raw marginals' numerators, built once."""
+        centered = self.log_prices - self.mean_log_price
+        centered.setflags(write=False)
+        return centered
 
-        ``order`` sorts the log prices ascending, ties in any order.
-        ``size_sums[j]`` and ``log_sums[j]`` sum s and s*ln v over the first j
-        transactions in that order. A raw marginal rises with ln v whatever
-        (k, lambda) are, so this one sort orders all of them.
+    @cached_property
+    def price_order(self) -> tuple:
+        """The solver's table, built once: (order, size_sums, sums, sorted_centered, spread).
+
+        ``order`` sorts the log prices ascending, ties in any order, and
+        ``sorted_centered`` is ``centered_log_prices`` in that order, so it
+        ascends too. ``size_sums[j]`` and ``sums[j]`` sum s and s*c over the
+        first j transactions in that order, with c the centered log price;
+        ``spread`` is the sum of s*|c| over all of them. A raw marginal rises
+        with ln v whatever (k, lambda) are, so this one sort orders all of them.
         """
         order = np.argsort(self.log_prices)
         s = self.sizes[order]
-        size_sums, log_sums = np.zeros(len(self) + 1), np.zeros(len(self) + 1)
+        sorted_centered = self.centered_log_prices[order]
+        sorted_centered.setflags(write=False)
+        size_sums, sums = np.zeros(len(self) + 1), np.zeros(len(self) + 1)
         np.cumsum(s, out=size_sums[1:])
-        np.cumsum(s * self.log_prices[order], out=log_sums[1:])
-        return order, size_sums, log_sums
+        weighted = np.multiply(s, sorted_centered, out=s)
+        np.cumsum(weighted, out=sums[1:])
+        spread = float(np.abs(weighted, out=weighted).sum())
+        return order, size_sums, sums, sorted_centered, spread
 
     @cached_property
     def _id_order(self) -> np.ndarray:
@@ -144,6 +157,8 @@ class Mempool:
     def positions(self, txids) -> np.ndarray:
         """Mempool positions of the given ids; an unknown id raises ValidationError."""
         want = _id_column(txids)
+        if len(want) == len(self) and np.array_equal(want, self.ids):
+            return np.arange(len(self))  # the mempool's own order, as equilibrium writes it
         at = np.searchsorted(self.ids, want, sorter=self._id_order)
         known = at < len(self)
         known[known] = self.ids[self._id_order[at[known]]] == want[known]

@@ -22,7 +22,8 @@ from txpack import (
     solve_equilibrium,
     solve_xhat,
 )
-from txpack.equilibrium import BUDGET_RTOL, _model_guess, clamp_sum
+import txpack.equilibrium as equilibrium
+from txpack.equilibrium import BUDGET_RTOL, _bracket, _model_guess, clamp_sum
 
 from conftest import (
     GOLDEN_PHAT,
@@ -282,6 +283,135 @@ def test_fallback_bits_match_reference(instance):
     for guess in _wrong_guesses(mempool, params):
         (got, want), _ = _solve_both_from(guess, mempool, params)
         assert got == want
+
+
+def _calls(name, fn):
+    """(fn(), how often it called txpack.equilibrium's ``name``)."""
+    with mock.patch(f"txpack.equilibrium.{name}", wraps=getattr(equilibrium, name)) as spy:
+        return fn(), spy.call_count
+
+
+def _right_end(raw, mempool, params, last):
+    """The right end of the bracket at ``last``, as solve_xhat forms it, with the table's view."""
+    at = (mempool.price_order[3], float(params.k / mempool.total_size), float(params.lam))
+    left, right, reads = _bracket(at, last)
+    return at, left, right, reads
+
+
+def test_golden_solve_makes_one_clamp_pass(golden_mempool, golden_params):
+    _, passes = _calls("clamp_sum", lambda: solve_equilibrium(golden_mempool, golden_params))
+    assert passes == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(_solver_instances())
+def test_one_clamp_pass_where_the_bound_holds(instance):
+    """The right end costs no pass where f there is below k by far more than rounding."""
+    mempool, params = instance
+    raw = compute_phat_real(mempool, params)
+    with mock.patch("txpack.equilibrium.clamp_sum", wraps=clamp_sum) as passes, \
+            mock.patch("txpack.equilibrium.bisect_left", wraps=bisect_left) as bisect:
+        try:
+            solve_xhat(raw, mempool, params)
+        except MempoolFitsInBlock:
+            return
+    _, left, right, _ = _right_end(raw, mempool, params, _model_guess(mempool, params))
+    scale = mempool.total_size * (3.0 + abs(right)) + mempool.price_order[4] / params.lam
+    if not bisect.called and (right == np.inf or params.k - clamp_sum(raw, mempool.sizes, right) > 1e-9 * scale):
+        assert passes.call_count == (left is not None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_solver_instances())
+def test_bound_proves_only_what_clamp_sum_confirms(instance):
+    """Whatever the guess, a right end the table settles has f <= k."""
+    mempool, params = instance
+    raw = compute_phat_real(mempool, params)
+    for guess in [_model_guess(mempool, params), *_wrong_guesses(mempool, params)]:
+        at, _, right, reads = _right_end(raw, mempool, params, guess)
+        if equilibrium._proves_at_most_k(mempool.price_order, at, guess, reads, right, params.k):
+            assert clamp_sum(raw, mempool.sizes, right) <= params.k
+
+
+def test_golden_refused_bound_costs_a_second_pass(golden_mempool, golden_params):
+    raw = compute_phat_real(golden_mempool, golden_params)
+    with mock.patch("txpack.equilibrium._proves_at_most_k", lambda *_: False):
+        xhat, passes = _calls("clamp_sum", lambda: solve_xhat(raw, golden_mempool, golden_params))
+    assert passes == 2
+    assert xhat == _reference_solve_xhat(raw, golden_mempool.sizes, golden_params.k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_solver_instances())
+def test_refused_bound_keeps_the_bits(instance):
+    """With the table's proof refused, clamp_sum confirms the right end and the bits hold."""
+    mempool, params = instance
+    with mock.patch("txpack.equilibrium._proves_at_most_k", lambda *_: False):
+        got, want = _solve_both(mempool, params)
+    assert got == want
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_solver_instances(), st.booleans())
+def test_model_evaluations_are_bounded(instance, newton):
+    """At most _NEWTON_STEPS + 2 * bit_length(m) model evaluations, with or without Newton steps."""
+    mempool, params = instance
+    steps = equilibrium._NEWTON_STEPS if newton else 0
+    with mock.patch("txpack.equilibrium._NEWTON_STEPS", steps):
+        _, evaluations = _calls("_piece_value", lambda: _model_guess(mempool, params))
+        got, want = _solve_both(mempool, params)
+    assert evaluations <= steps + 2 * len(mempool).bit_length()
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_solver_instances(), st.integers(0, 2**32 - 1))
+def test_unit_slope_count_matches_the_sorted_count(instance, seed):
+    """The bracket's reads count the raw marginals in (pos, pos + 1) as searchsorted does."""
+    mempool, params = instance
+    raw = compute_phat_real(mempool, params)
+    rng = np.random.default_rng(seed)
+    m, order = len(mempool), mempool.price_order[0]
+    for _ in range(8):
+        last = rng.integers(-1, m, 2).tolist()
+        _, left, right, reads = _right_end(raw, mempool, params, last)
+        points = [p for p in (left, right) if p is not None and np.isfinite(p)]
+        for pos in points + [0.5 * (min(points) + max(points))] if points else []:
+            want = np.searchsorted(raw, pos + 1.0, "left", sorter=order) - \
+                np.searchsorted(raw, pos, "right", sorter=order)
+            assert equilibrium._count_inside(raw, last, reads, pos) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_solver_instances(), st.integers(0, 2**32 - 1))
+def test_compressed_slope_matches_the_boolean_index(instance, seed):
+    """np.compress and a boolean index gather the same sizes in the same order: the same sum."""
+    mempool, params = instance
+    raw = compute_phat_real(mempool, params)
+    pos = float(np.random.default_rng(seed).choice(raw)) - 0.5
+    masks = [(raw > pos) & (raw < pos + 1.0), np.random.default_rng(seed).random(len(raw)) < 0.5]
+    for mask in masks:
+        got = np.compress(mask, mempool.sizes).sum()
+        assert got.tobytes() == mempool.sizes[mask].sum().tobytes()
+
+
+def test_solve_leaves_its_inputs_alone():
+    """solve_equilibrium clamps its own array; clamp_marginals copies the caller's."""
+    rng = np.random.default_rng(31)
+    mempool, params = random_sized_mempool(rng, 200), GameParams(k=40.0, lam=1.5)
+    columns = lambda: [mempool.ids, mempool.prices, mempool.sizes, mempool.log_prices,
+                       mempool.centered_log_prices, *mempool.price_order[:4]]
+    before = [c.copy() for c in columns()]
+    profile = solve_equilibrium(mempool, params, mode="variable")
+    for old, new in zip(before, columns()):
+        assert np.array_equal(old, new)
+        assert not np.shares_memory(profile.values, new)
+    assert not any(c.flags.writeable for c in columns()[:5])
+    raw = compute_phat_real(mempool, params)
+    kept = raw.copy()
+    clamped = clamp_marginals(raw, profile.xhat, mempool, params)
+    assert raw.tobytes() == kept.tobytes()
+    assert clamped.values.tobytes() == profile.values.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -159,6 +159,14 @@ def test_positions_maps_ids_to_input_order():
         Mempool.from_arrays([], []).positions([0])
 
 
+
+def test_positions_of_the_mempools_own_ids_are_its_order():
+    mp = Mempool.from_arrays([40, 10, 30], [1.0, 2.0, 3.0])
+    assert mp.positions(mp.ids.copy()).tolist() == [0, 1, 2]
+    assert mp.positions([40, 10, 30]).tolist() == [0, 1, 2]
+    assert mp.positions([10, 40, 30]).tolist() == [1, 0, 2]
+
+
 @pytest.mark.parametrize("k, lam", [(INF, 1.0), (1.0, NAN), (NAN, 1.0), (1.0, INF),
                                     (True, 1.0), (1.0, True), ("3", 1.0)])
 def test_game_params_must_be_finite(k, lam):

@@ -258,6 +258,16 @@ class TestExactSelection:
             atom = strat.atom_txids[int(np.searchsorted(starts, r, side="right")) - 1]
             assert sample_block(profile, float(r), k=k).txids == atom
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_select_gathers_the_row_select_many_gathers(self, seed):
+        rng = np.random.default_rng(320 + seed)
+        mp = random_unit_mempool(rng, 300)
+        profile = solve_equilibrium(mp, GameParams(k=60, lam=float(rng.uniform(0.2, 3))))
+        sampler = SegmentSampler(profile, 60)
+        for r in rng.random(20):
+            assert sampler.select(float(r)).tolist() == sampler.select_many([r])[0].tolist()
+        assert np.count_nonzero(profile.values) == len(sampler.ids) < len(mp)
+
 
 class TestRejectionSampler:
     def test_deterministic_acceptance(self):

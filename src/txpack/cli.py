@@ -146,10 +146,20 @@ def _emit(doc, out_path):
 
 
 def _seed(args) -> int:
+    """--seed, else TXPACK_SEED, else 0; numpy seeds only from non-negative integers."""
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("TXPACK_SEED")
-    return int(env) if env else 0
+        source, seed = "--seed", args.seed
+    else:
+        source, env = "TXPACK_SEED", os.environ.get("TXPACK_SEED")
+        if not env:
+            return 0
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValidationError(f"{source} must be a non-negative integer, got {env!r}") from None
+    if seed < 0:
+        raise ValidationError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _load(args):

@@ -263,6 +263,21 @@ def test_env_seed_fallback(capsys, golden_mempool_file, monkeypatch):
     assert flag_wins == seed_5 != seed_99
 
 
+@pytest.mark.parametrize("cmd", [("sample",), ("simulate", "--trials", "5")])
+@pytest.mark.parametrize("flag, env, message", [
+    (("--seed", "-1"), None, "--seed must be a non-negative integer, got -1"),
+    ((), "abc", "TXPACK_SEED must be a non-negative integer, got 'abc'"),
+    ((), "-2", "TXPACK_SEED must be a non-negative integer, got -2"),
+])
+def test_bad_seed_exits_1(capsys, golden_mempool_file, monkeypatch, cmd, flag, env, message):
+    monkeypatch.delenv("TXPACK_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("TXPACK_SEED", env)
+    rc, out, err = run_cli(capsys, *cmd, "--mempool", str(golden_mempool_file),
+                           "--k", "3", "--lambda", "1", *flag)
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_empty_mempool_exits_1(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text('{"transactions": []}')

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import exclusion_frequency, random_unit_mempool
 from conftest import set_usable_cpus as _set_usable_cpus
 
@@ -23,9 +25,15 @@ from txpack.simulate import (
     STRATEGY_NAMES,
     _block_source,
     _chunk_outcomes,
+    _seed_stream,
     _trial_outcomes,
-    _trial_rng,
+    _trial_states,
 )
+
+
+def _trial_rng(seed, strategy_index, trial):
+    """Trial ``trial``'s stream as the simulator defines it, built the slow way."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(strategy_index, trial)))
 
 
 def _chunk(mempool, name, params, gammas, seed):
@@ -188,6 +196,74 @@ def test_kernel_matches_per_trial_loop(name):
     want = _reference_trial_outcomes(_block_source(name, mempool, params), mempool, 2.5, 5, 300)
     np.testing.assert_array_equal(got[1:3], want[1:3])
     np.testing.assert_allclose(got[[0, 3]], want[[0, 3]], rtol=1e-13, atol=0)
+
+
+# 1, 1, 2, 3, 4, 5 and 6 entropy words.
+_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 1, 2**96 + 5, 2**128, 2**160 + 7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_SEEDS) | st.integers(0, 2**192 - 1), st.integers(0, 2),
+       st.integers(1, 3000), st.data())
+def test_trial_states_match_seed_sequence(seed, s, trials, data):
+    states = _trial_states(seed, s, trials)
+    assert states.shape == (trials, 4) and states.dtype == np.uint64
+    for t in {0, data.draw(st.integers(0, trials - 1)), trials - 1}:
+        want = np.random.SeedSequence(seed, spawn_key=(s, t)).generate_state(4, np.uint64)
+        assert np.array_equal(states[t], want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_SEEDS), st.integers(0, 2), st.integers(0, 99),
+       st.floats(0.0, 50.0), st.integers(1, 40), st.integers(1, 40))
+def test_seeded_stream_draws_like_default_rng(seed, s, t, lam, n, m):
+    rng = np.random.default_rng(12345)
+    rng.random(3)  # a used Generator, with a 32-bit half buffered
+    rng.integers(0, 2**32, dtype=np.uint32)
+    _seed_stream(rng, _trial_states(seed, s, t + 1)[t].tolist())
+    want = _trial_rng(seed, s, t)
+    assert rng.bit_generator.state == want.bit_generator.state
+    assert rng.poisson(lam) == want.poisson(lam)
+    assert np.array_equal(rng.random(n), want.random(n))
+    assert np.array_equal(rng.random((n, m)), want.random((n, m)))
+    assert rng.bit_generator.state == want.bit_generator.state
+
+
+def test_no_seed_sequence_per_trial(monkeypatch, golden_mempool):
+    # The chunks run here, so their constructions are counted too.
+    _set_usable_cpus(monkeypatch, 1)
+    made = []
+    for name in ("SeedSequence", "PCG64", "default_rng"):
+        real = getattr(np.random, name)
+        counted = lambda *a, _real=real, _name=name, **kw: made.append(_name) or _real(*a, **kw)
+        monkeypatch.setattr(np.random, name, counted)
+    counts = []
+    for trials in (10, 1000):
+        simulate._generator.cache_clear()
+        made.clear()
+        run_experiment(config(golden_mempool, trials=trials, strategies=list(STRATEGY_NAMES)))
+        counts.append(len(made))
+    assert counts[0] == counts[1] <= 1
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "5", np.float64(3.0), np.int64(-4)])
+def test_bad_seed_rejected(golden_mempool, seed):
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        run_experiment(config(golden_mempool, seed=seed))
+
+
+@pytest.mark.parametrize("seed", [np.int64(9), np.uint64(9)])
+def test_numpy_integer_seed_accepted(golden_mempool, seed):
+    a = run_experiment(config(golden_mempool, trials=50, seed=seed))
+    b = run_experiment(config(golden_mempool, trials=50, seed=9))
+    assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
+    assert type(a[0].seed) is int
+
+
+def test_too_many_trials_rejected(monkeypatch, golden_mempool):
+    monkeypatch.setattr(simulate, "_trial_states", None)  # refused before any state is computed
+    with pytest.raises(ValidationError, match="trials must be at most 2\\*\\*32"):
+        run_experiment(config(golden_mempool, trials=2**32 + 1))
 
 
 def test_zero_trials_rejected(golden_mempool):

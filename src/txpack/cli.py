@@ -4,8 +4,8 @@ All numeric JSON output is printed with 12 significant digits, and any
 invocation repeated with identical flags and seed produces byte-identical
 output. The writer streams to the output file or stdout: declared ``Rows``
 (the equilibrium marginals) and lists of scalars are rendered in blocks of
-``_BLOCK_ROWS`` rows with one %-template per element, so the rows' strings
-and text never all exist at once. Exit codes: 0 success, 1 validation error,
+``_BLOCK_ROWS`` rows, a column at a time, so the rows' strings and text
+never all exist at once. Exit codes: 0 success, 1 validation error,
 2 usage error, 3 internal invariant violation.
 """
 
@@ -47,16 +47,20 @@ def _scalar(v) -> str:
     return json.dumps(v)
 
 
-def _column(values: list):
-    """(conversion, arguments) rendering a list of scalars, or None if any is a container."""
+def _texts(column) -> list:
+    """Scalars (a list, tuple or numpy column) as JSON texts, or None if one is a container.
+
+    A finite float64 array takes '%.12g', a +0.0 (by its bits) "0"; ints str, the rest _scalar."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64 and np.isfinite(column).all():
+        texts = np.full(len(column), "0", dtype=object)
+        nonzero = column.view(np.int64) != 0
+        texts[nonzero] = list(map("%.12g".__mod__, column[nonzero].tolist()))
+        return texts.tolist()
+    values = column.tolist() if isinstance(column, np.ndarray) else column
     types = set(map(type, values))
     if any(issubclass(t, (dict, list, tuple)) for t in types):
         return None
-    if types == {int}:
-        return "%d", values
-    if all(issubclass(t, float) for t in types) and all(map(math.isfinite, values)):
-        return "%.12g", values
-    return "%s", list(map(_scalar, values))
+    return list(map(str if types == {int} else _scalar, values))
 
 
 @dataclass(frozen=True)
@@ -73,29 +77,24 @@ class Rows:
 _BLOCK_ROWS = 1 << 12  # rows of a table rendered per join
 
 
-def _part(column, start: int, stop: int):
-    """Items start:stop of a list, tuple or numpy column, as Python scalars."""
-    part = column[start:stop]
-    return part.tolist() if isinstance(part, np.ndarray) else part
-
-
 def _table_block(items, start: int, stop: int, pad: str):
     """Rows start:stop of ``Rows`` or a list of scalars, each line indented by pad, or None.
 
-    One %-template renders every row; None leaves a list holding a
-    container to the general walk.
+    Each column is rendered once (``_texts``) and joined to the next with the text
+    between them, then the rows with one join; None leaves a container to the walk.
     """
     if isinstance(items, Rows):
-        cols = [_column(_part(c, start, stop)) for c in items.columns]
-        fields = [f"{pad}  {json.dumps(key)}: ".replace("%", "%%") + conversion
-                  for key, (conversion, _) in zip(items.keys, cols)]
-        template = pad + "{\n" + ",\n".join(fields) + "\n" + pad + "}"
+        columns = [_texts(c[start:stop]) for c in items.columns]
+        seps = [f",\n{pad}  {json.dumps(key)}: " for key in items.keys]
+        head, tail = pad + "{" + seps[0].removeprefix(","), "\n" + pad + "}"
     else:
-        col = _column(_part(items, start, stop))
-        if col is None:
+        columns, seps, head, tail = [_texts(items[start:stop])], [], pad, ""
+        if columns[0] is None:
             return None
-        template, cols = pad + col[0], [col]
-    return ",\n".join(map(template.__mod__, zip(*(args for _, args in cols))))
+    rows = columns[0]
+    for sep, column in zip(seps[1:], columns[1:]):
+        rows = map(sep.join, zip(rows, column))
+    return head + (tail + ",\n" + head).join(rows) + tail
 
 
 def _write(obj, out, pad: str):

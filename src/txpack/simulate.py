@@ -26,6 +26,7 @@ output does not depend on the CPU count.
 from __future__ import annotations
 
 import functools
+import itertools
 import numbers
 from dataclasses import asdict, dataclass, replace
 
@@ -225,17 +226,19 @@ def _trial_outcomes(sources: list, fees: np.ndarray, lam: float, seed: int, tria
     """Each source's (4, trials) per-trial outcomes (see ``_chunk_outcomes``).
 
     A source's trials are split into chunks of about ``_CHUNK_BYTES`` of
-    flags and positions, and ``fork_map`` runs the (source, chunk) tasks in
-    forked workers, which inherit the sources, ``fees`` and the trials'
-    states: their closures and arrays are never pickled, only chunk bounds
-    go out and (4, n) outcomes come back. Each trial's outcome comes from
-    its own stream and row, so the result is the same wherever the tasks
-    run.
+    flags and positions, and ``fork_map`` runs the (source, chunk) tasks,
+    taken from the sources in turn, in forked workers. These inherit the
+    sources, ``fees`` and the trials' states: their closures and arrays are
+    never pickled, only chunk bounds go out and (4, n) outcomes come back.
+    Each trial's outcome comes from its own stream and row, so the result
+    is the same wherever the tasks run.
     """
-    tasks = []
+    chunks = []
     for s_idx, (k, _, _) in enumerate(sources):
         height = max(1, int(_CHUNK_BYTES // (8 * (len(fees) + (lam + 1) * k))))
-        tasks += [(s_idx, start, min(start + height, trials)) for start in range(0, trials, height)]
+        chunks.append([(s_idx, start, min(start + height, trials)) for start in range(0, trials, height)])
+    # Round-robin over the sources, so each batch a worker takes mixes cheap and costly ones.
+    tasks = [task for tier in itertools.zip_longest(*chunks) for task in tier if task is not None]
     states = [_trial_states(seed, s_idx, trials) for s_idx in range(len(sources))]
     parts = fork_map(_chunk_trials, (sources, fees, lam, states), tasks)
     return [np.concatenate([part for (s, _, _), part in zip(tasks, parts) if s == s_idx], axis=1)

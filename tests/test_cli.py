@@ -728,7 +728,8 @@ def test_writer_matches_reference(doc):
 
 
 _marginal = st.one_of(
-    st.sampled_from([0.0, 1.0, 1e-300, 5e-324, 1.25e-7, 0.1 + 0.2, 1e16, 1e300]),
+    st.sampled_from([0.0, -0.0, 1.0, 1e-300, 5e-324, -5e-324, 1.25e-7, 0.1 + 0.2, 1e16, 1e300,
+                     2**63 - 1, True, False, math.nan, math.inf, -math.inf]),
     st.floats(0.0, 1.0),
     st.floats(),
 )
@@ -758,9 +759,31 @@ def test_array_rows_write_like_dict_rows(records, block_rows):
     # The CLI's Rows hold numpy columns; a non-finite p prints null in whichever block it falls.
     ids = np.array([i for i, _ in records], dtype=np.int64)
     ps = np.array([p for _, p in records], dtype=np.float64)
-    dict_rows = {"marginals": [{"id": i, "p": p} for i, p in records]}
+    dict_rows = {"marginals": [{"id": i, "p": p} for i, p in zip(ids.tolist(), ps.tolist())]}
     with mock.patch.object(cli_module, "_BLOCK_ROWS", block_rows):
         assert _dumps12({"marginals": Rows(("id", "p"), (ids, ps))}) == _reference_dumps12(dict_rows)
+
+
+_row_columns = st.one_of(
+    st.lists(st.integers(0, 2**63 - 1), min_size=5, max_size=5).map(lambda c: np.array(c, dtype=np.int64)),
+    st.lists(_marginal, min_size=5, max_size=5).map(lambda c: np.array(c, dtype=np.float64)),
+    st.lists(st.one_of(st.integers(-2**63, 2**64), _marginal), min_size=5, max_size=5),
+    st.lists(_marginal, min_size=5, max_size=5).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["id", "p", "%d", "%%s", "{0}", '"q"', "\u00e9"]), _row_columns),
+                min_size=1, max_size=3, unique_by=lambda kc: kc[0]),
+       st.integers(0, 5), st.integers(1, 3))
+def test_columns_write_like_dict_rows(keyed, m, block_rows):
+    # Numpy and list columns, rendered a column at a time, against the recursive writer's rows.
+    keys = tuple(key for key, _ in keyed)
+    columns = tuple(column[:m] for _, column in keyed)
+    values = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    dict_rows = [dict(zip(keys, row)) for row in zip(*values)]
+    with mock.patch.object(cli_module, "_BLOCK_ROWS", block_rows):
+        assert _dumps12({"rows": Rows(keys, columns)}) == _reference_dumps12({"rows": dict_rows})
 
 
 def _seeded_mempool_file(tmp_path, kind):

@@ -1,10 +1,12 @@
 import decimal
 import json
 import math
+import mmap
 import multiprocessing
 import os
 import re
 import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -158,6 +160,37 @@ def test_positions_maps_ids_to_input_order():
     with pytest.raises(ValidationError, match="unknown"):
         Mempool.from_arrays([], []).positions([0])
 
+
+
+def test_duplicate_id_names_the_smallest_of_two():
+    with pytest.raises(ValidationError, match="^duplicate transaction id 3$"):
+        Mempool.from_arrays([9, 3, 9, 5, 3, 7], np.ones(6))
+
+
+def _positions_through_a_sorter(mp, txids):
+    """``Mempool.positions`` as a search through an argsort of the ids, its earlier form."""
+    want = np.asarray(txids, dtype=np.int64)
+    order = np.argsort(mp.ids)
+    at = np.searchsorted(mp.ids, want, sorter=order)
+    known = at < len(mp)
+    known[known] = mp.ids[order[at[known]]] == want[known]
+    if not known.all():
+        return f"unknown transaction id {want[~known][0]}"
+    return order[at].tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 50), unique=True, max_size=12), st.data())
+def test_positions_match_a_search_through_a_sorter(ids, data):
+    # Shuffled, repeated and unknown ids, each against the search positions made before.
+    mp = Mempool.from_arrays(ids, np.ones(len(ids)))
+    want = data.draw(st.lists(st.one_of(st.sampled_from(ids), st.integers(0, 60)) if ids
+                              else st.integers(0, 60), max_size=16))
+    try:
+        got = mp.positions(want).tolist()
+    except ValidationError as e:
+        got = str(e)
+    assert got == _positions_through_a_sorter(mp, want)
 
 
 def test_positions_of_the_mempools_own_ids_are_its_order():
@@ -441,6 +474,82 @@ def test_reader_memory_stays_below_the_records():
         tracemalloc.stop()
     assert len(mp) == m
     assert peak < m * sys.getsizeof(record) / 2
+
+
+MAPPED_CASES = {
+    "valid": b'{"transactions": [{"id": 2, "gas_price": 1.5}, {"id": 1, "gas_price": 3, "size": 2}]}\n',
+    "empty file": b"",
+    "whitespace only": b" \n\t ",
+    "invalid utf-8": b'{"transactions": [{"id": 1, "gas_price": 2, "\xff": 1}]}',
+    "truncated array": b'{"transactions": [{"id": 1, "gas_price": 2}, {"id": 2, "gas_',
+    "extra top-level key": b'{"transactions": [{"id": 1, "gas_price": 2}], "note": "}]}"}',
+    "duplicate id": b'{"transactions": [{"id": 1, "gas_price": 2}, {"id": 1, "gas_price": 3}]}',
+}
+
+
+def _load_file(path):
+    try:
+        return mempool_module.load_mempool_file(path)
+    except ValidationError as e:
+        return str(e)
+
+
+def _raw_kinds(monkeypatch):
+    """The types of the documents ``load_mempool_file`` hands on, as a list that fills."""
+    kinds, real = [], mempool_module._load_raw
+    monkeypatch.setattr(mempool_module, "_load_raw", lambda raw: kinds.append(type(raw)) or real(raw))
+    return kinds
+
+
+@pytest.mark.parametrize("case", MAPPED_CASES)
+def test_mapped_file_reads_like_its_bytes(tmp_path, monkeypatch, case):
+    doc = MAPPED_CASES[case]
+    path = tmp_path / "m.json"
+    path.write_bytes(doc)
+    fast, ref = read_both(doc)
+    kinds = _raw_kinds(monkeypatch)
+    got = _load_file(path)
+    assert_same_outcome(got, fast)
+    assert_same_outcome(got, ref)
+    assert kinds == [bytes if doc == b"" else mmap.mmap]  # an empty file cannot be mapped
+
+
+def test_mapped_file_is_parsed_by_forked_workers(tmp_path, monkeypatch):
+    # One record a slice, dealt to three workers that inherit the map.
+    groups = _fork_every_slice(monkeypatch, 3)
+    records = [f'{{"id": {i}, "gas_price": {i + 1}}}' for i in range(30)]
+    doc = ('{"transactions": [' + ", ".join(records) + "]}").encode()
+    path = tmp_path / "m.json"
+    path.write_bytes(doc)
+    assert_same_outcome(mempool_module.load_mempool_file(path), json_reader(doc))
+    assert [len(bounds) for _, _, bounds in groups[0]] == [10, 10, 10]
+
+
+def test_mapped_file_raises_the_parse_error(tmp_path, monkeypatch):
+    # The map is closed on the way out, and no view left in the traceback turns that into a BufferError.
+    def fail(piece):
+        raise RuntimeError("parse failed")
+
+    monkeypatch.setattr(mempool_module.orjson, "loads", fail)
+    path = tmp_path / "m.json"
+    path.write_bytes(MAPPED_CASES["valid"])
+    with pytest.raises(RuntimeError, match="parse failed"):
+        mempool_module.load_mempool_file(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_pipe_is_read_not_mapped(tmp_path, monkeypatch):
+    doc = MAPPED_CASES["valid"]
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(doc,), daemon=True)
+    writer.start()
+    kinds = _raw_kinds(monkeypatch)
+    got = _load_file(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert kinds == [bytes]
+    assert_same_outcome(got, json_reader(doc))
 
 
 @pytest.mark.parametrize("kind", ["arrays", "lists"])

@@ -51,6 +51,8 @@ def _texts(column) -> list:
     """Scalars (a list, tuple or numpy column) as JSON texts, or None if one is a container.
 
     A finite float64 array takes '%.12g', a +0.0 (by its bits) "0"; ints str, the rest _scalar."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
     if isinstance(column, np.ndarray) and column.dtype == np.float64 and np.isfinite(column).all():
         texts = np.full(len(column), "0", dtype=object)
         nonzero = column.view(np.int64) != 0
@@ -80,8 +82,9 @@ _BLOCK_ROWS = 1 << 12  # rows of a table rendered per join
 def _table_block(items, start: int, stop: int, pad: str):
     """Rows start:stop of ``Rows`` or a list of scalars, each line indented by pad, or None.
 
-    Each column is rendered once (``_texts``) and joined to the next with the text
-    between them, then the rows with one join; None leaves a container to the walk.
+    Each column is rendered once (``_texts``); the block is one join of a flat
+    list holding, per row, each column's text and then the text that follows
+    it. None leaves a container to the walk.
     """
     if isinstance(items, Rows):
         columns = [_texts(c[start:stop]) for c in items.columns]
@@ -91,10 +94,14 @@ def _table_block(items, start: int, stop: int, pad: str):
         columns, seps, head, tail = [_texts(items[start:stop])], [], pad, ""
         if columns[0] is None:
             return None
-    rows = columns[0]
-    for sep, column in zip(seps[1:], columns[1:]):
-        rows = map(sep.join, zip(rows, column))
-    return head + (tail + ",\n" + head).join(rows) + tail
+    width, n = 2 * len(columns), len(columns[0])
+    parts = [tail + ",\n" + head] * (width * n)  # each row ends with the next row's head
+    for j, column in enumerate(columns):
+        parts[2 * j::width] = column
+        if j:
+            parts[2 * j - 1::width] = [seps[j]] * n
+    parts[-1] = tail
+    return head + "".join(parts)
 
 
 def _write(obj, out, pad: str):

@@ -121,7 +121,7 @@ def solve_xhat(raw: np.ndarray, mempool: Mempool, params: GameParams) -> float:
             f"total capacity {total:g} < block capacity {k:g}; package everything"
         )
     table = mempool.price_order
-    at = (table[3], float(k / total), float(params.lam))  # the raw marginals by rank
+    at = (table[2], float(k / total), float(params.lam))  # the raw marginals by rank
     last = _model_guess(mempool, params)
     left, right, reads = _bracket(at, last)
     f_left = None if left is None else clamp_sum(raw, sizes, left)
@@ -203,7 +203,7 @@ def _proves_at_most_k(table: tuple, at: tuple, last, reads: tuple, x: float, k: 
     """
     if x == math.inf:
         return True  # every term clamps to 0
-    _, size_sums, sums, _, spread = table
+    size_sums, sums, _, spread = table
     _, q, lam = at
     if last[1] < last[0] or reads[0] > x:
         return False
@@ -245,7 +245,7 @@ def _model_guess(mempool: Mempool, params: GameParams) -> list:
     run's bound width by at least 1. So the search makes at most
     _NEWTON_STEPS + 2 * bit_length(m) model evaluations.
     """
-    _, size_sums, sums, sc, _ = mempool.price_order
+    size_sums, sums, sc, _ = mempool.price_order
     k, lam = params.k, float(params.lam)
     m = len(sc)
     total = size_sums.item(m)

@@ -133,25 +133,33 @@ class Mempool:
 
     @cached_property
     def price_order(self) -> tuple:
-        """The solver's table, built once: (order, size_sums, sums, sorted_centered, spread).
+        """The solver's table, built once: (size_sums, sums, sorted_centered, spread).
 
-        ``order`` sorts the log prices ascending, ties in any order, and
-        ``sorted_centered`` is ``centered_log_prices`` in that order, so it
-        ascends too. ``size_sums[j]`` and ``sums[j]`` sum s and s*c over the
-        first j transactions in that order, with c the centered log price;
-        ``spread`` is the sum of s*|c| over all of them. A raw marginal rises
-        with ln v whatever (k, lambda) are, so this one sort orders all of them.
+        ``sorted_centered`` is ``centered_log_prices`` in ascending order.
+        ``size_sums[j]`` and ``sums[j]`` sum s and s*c over the first j
+        transactions in that order, ties in any order, with c the centered
+        log price; ``spread`` is the sum of s*|c| over all of them. A raw
+        marginal rises with ln v whatever (k, lambda) are, so this one sort
+        orders all of them. Unit sizes need only the values sorted, and their
+        products s*c are the values themselves; sized mempools sort positions,
+        so each size stays with its price.
         """
-        order = np.argsort(self.log_prices)
-        s = self.sizes[order]
-        sorted_centered = self.centered_log_prices[order]
-        sorted_centered.setflags(write=False)
-        size_sums, sums = np.zeros(len(self) + 1), np.zeros(len(self) + 1)
-        np.cumsum(s, out=size_sums[1:])
-        weighted = np.multiply(s, sorted_centered, out=s)
+        m = len(self)
+        if self.is_unit_size:
+            sorted_centered = np.sort(self.centered_log_prices)
+            size_sums, weighted = np.arange(m + 1, dtype=np.float64), sorted_centered.copy()
+        else:
+            order = np.argsort(self.log_prices)
+            s = self.sizes[order]
+            sorted_centered = self.centered_log_prices[order]
+            size_sums = np.zeros(m + 1)
+            np.cumsum(s, out=size_sums[1:])
+            weighted = np.multiply(s, sorted_centered, out=s)
+        sums = np.zeros(m + 1)
         np.cumsum(weighted, out=sums[1:])
         spread = float(np.abs(weighted, out=weighted).sum())
-        return order, size_sums, sums, sorted_centered, spread
+        sorted_centered.setflags(write=False)
+        return size_sums, sums, sorted_centered, spread
 
     @cached_property
     def _id_order(self) -> tuple:
@@ -319,9 +327,9 @@ def _fast_columns(raw):
     slices' concatenation. ``raw`` is bytes, str or a read-only map. An
     array of ``_FORK_BYTES`` or more is dealt in contiguous groups of slices
     to one forked worker per usable CPU (``workers.fork_map``), which
-    inherits ``raw``. Each worker writes its group's columns to its
-    own region of a shared anonymous map, so no column crosses a pipe, and
-    the groups' columns are joined in order.
+    inherits ``raw``. Each worker writes its group's columns to its own
+    region of a shared anonymous map, so only its record count crosses its
+    pipe; this process parses no group, and joins the columns in order.
 
     None leaves the document to ``read_records``. That happens unless the
     document is strict UTF-8 with no top-level key but "transactions" and

@@ -120,8 +120,10 @@ def _best_response_to(vt: np.ndarray, mempool: Mempool, params: GameParams):
     if n_whole < m:
         room = params.k - (filled[n_whole - 1] if n_whole else 0.0)
         p_own[order[n_whole]] = min(1.0, room / sizes[order[n_whole]])
-    contributions = p_own * sizes * vt
-    return tuple(mempool.ids[p_own > 0.0].tolist()), float(np.sum(contributions))
+    txids = tuple(mempool.ids[p_own > 0.0].tolist())
+    p_own *= sizes  # p_own * sizes * vt, in that order, in place
+    p_own *= vt
+    return txids, float(np.sum(p_own))
 
 
 def verify_equilibrium(
@@ -160,11 +162,14 @@ def verify_equilibrium(
         np.expm1(rel, out=rel)
 
     # Interior transactions violate by |rel|, excluded ones by rel > 0, certain ones by -rel > 0.
-    worst = max(0.0, float(np.where(one, 0.0, rel).max(initial=0.0)),
-                -float(np.where(zero, 0.0, rel).min(initial=0.0)))
+    worst = max(0.0, float(rel.max(where=~one, initial=0.0)), -float(rel.min(where=~zero, initial=0.0)))
+    # expected_utility(profile, profile, ...): p * sizes * vt, in that order, in rel's memory.
+    utility = np.multiply(p, mempool.sizes, out=rel)
+    utility *= vt
+    sym_util = float(np.sum(utility))
+    del rel, utility  # the best response needs m-length arrays of its own
 
     br_set, br_util = _best_response_to(vt, mempool, params)
-    sym_util = float(np.sum(p * mempool.sizes * vt))  # expected_utility(profile, profile, ...)
     gain = br_util - sym_util
     worst = max(worst, gain / max(abs(sym_util), 1e-300))
 

@@ -57,6 +57,12 @@ def set_usable_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def random_unit_mempool(rng, m):
     prices = np.exp(rng.uniform(-3, 3, m))
     return Mempool.from_arrays(np.arange(m), prices)

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import txpack
@@ -291,9 +291,15 @@ def _calls(name, fn):
         return fn(), spy.call_count
 
 
+def _raw_by_rank(mempool, params) -> np.ndarray:
+    """The raw marginal at every rank of the price order, as solve_xhat reads it from the table."""
+    at = (mempool.price_order[2], float(params.k / mempool.total_size), float(params.lam))
+    return np.array([equilibrium._raw_at(at, j) for j in range(len(mempool))])
+
+
 def _right_end(raw, mempool, params, last):
     """The right end of the bracket at ``last``, as solve_xhat forms it, with the table's view."""
-    at = (mempool.price_order[3], float(params.k / mempool.total_size), float(params.lam))
+    at = (mempool.price_order[2], float(params.k / mempool.total_size), float(params.lam))
     left, right, reads = _bracket(at, last)
     return at, left, right, reads
 
@@ -316,7 +322,7 @@ def test_one_clamp_pass_where_the_bound_holds(instance):
         except MempoolFitsInBlock:
             return
     _, left, right, _ = _right_end(raw, mempool, params, _model_guess(mempool, params))
-    scale = mempool.total_size * (3.0 + abs(right)) + mempool.price_order[4] / params.lam
+    scale = mempool.total_size * (3.0 + abs(right)) + mempool.price_order[3] / params.lam
     if not bisect.called and (right == np.inf or params.k - clamp_sum(raw, mempool.sizes, right) > 1e-9 * scale):
         assert passes.call_count == (left is not None)
 
@@ -371,14 +377,14 @@ def test_unit_slope_count_matches_the_sorted_count(instance, seed):
     mempool, params = instance
     raw = compute_phat_real(mempool, params)
     rng = np.random.default_rng(seed)
-    m, order = len(mempool), mempool.price_order[0]
+    m, sorted_raw = len(mempool), np.sort(raw)
+    assert _raw_by_rank(mempool, params).tobytes() == sorted_raw.tobytes()
     for _ in range(8):
         last = rng.integers(-1, m, 2).tolist()
         _, left, right, reads = _right_end(raw, mempool, params, last)
         points = [p for p in (left, right) if p is not None and np.isfinite(p)]
         for pos in points + [0.5 * (min(points) + max(points))] if points else []:
-            want = np.searchsorted(raw, pos + 1.0, "left", sorter=order) - \
-                np.searchsorted(raw, pos, "right", sorter=order)
+            want = np.searchsorted(sorted_raw, pos + 1.0, "left") - np.searchsorted(sorted_raw, pos, "right")
             assert equilibrium._count_inside(raw, last, reads, pos) == want
 
 
@@ -400,13 +406,14 @@ def test_solve_leaves_its_inputs_alone():
     rng = np.random.default_rng(31)
     mempool, params = random_sized_mempool(rng, 200), GameParams(k=40.0, lam=1.5)
     columns = lambda: [mempool.ids, mempool.prices, mempool.sizes, mempool.log_prices,
-                       mempool.centered_log_prices, *mempool.price_order[:4]]
+                       mempool.centered_log_prices, *mempool.price_order[:3]]
     before = [c.copy() for c in columns()]
     profile = solve_equilibrium(mempool, params, mode="variable")
     for old, new in zip(before, columns()):
         assert np.array_equal(old, new)
         assert not np.shares_memory(profile.values, new)
     assert not any(c.flags.writeable for c in columns()[:5])
+    assert _raw_by_rank(mempool, params).tobytes() == np.sort(compute_phat_real(mempool, params)).tobytes()
     raw = compute_phat_real(mempool, params)
     kept = raw.copy()
     clamped = clamp_marginals(raw, profile.xhat, mempool, params)
@@ -417,10 +424,33 @@ def test_solve_leaves_its_inputs_alone():
 @settings(max_examples=100, deadline=None)
 @given(_solver_instances())
 def test_raw_marginals_follow_price_order(instance):
-    """The table's invariant: one sort by log price orders the raw marginals for every (k, lambda)."""
+    """The table's invariant: for every (k, lambda), the raw marginal read at each rank is np.sort's."""
     mempool, params = instance
-    order = mempool.price_order[0]
-    assert np.all(np.diff(compute_phat_real(mempool, params)[order]) >= 0.0)
+    assert _raw_by_rank(mempool, params).tobytes() == np.sort(compute_phat_real(mempool, params)).tobytes()
+
+
+def _argsort_table(mempool):
+    """price_order as one argsort of the log prices builds it, for any sizes."""
+    order = np.argsort(mempool.log_prices)
+    s, sorted_centered = mempool.sizes[order], mempool.centered_log_prices[order]
+    size_sums, sums = np.zeros(len(mempool) + 1), np.zeros(len(mempool) + 1)
+    np.cumsum(s, out=size_sums[1:])
+    weighted = s * sorted_centered
+    np.cumsum(weighted, out=sums[1:])
+    return size_sums, sums, sorted_centered, float(np.abs(weighted).sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2000), st.sampled_from(["spread", "tied", "equal"]))
+@example(seed=0, m=1, prices="spread")
+def test_unit_table_matches_the_argsort_table(seed, m, prices):
+    """Unit sizes build the table from one value sort, with the argsort's bits."""
+    rng = np.random.default_rng(seed)
+    log_prices = {"spread": lambda: rng.uniform(-30, 30, m), "tied": lambda: rng.integers(-3, 4, m) / 4,
+                  "equal": lambda: np.full(m, rng.uniform(-3, 3))}[prices]()
+    mempool = Mempool.from_arrays(rng.permutation(m), np.exp(log_prices))
+    for got, want in zip(mempool.price_order, _argsort_table(mempool), strict=True):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,7 +2,6 @@ import decimal
 import json
 import math
 import mmap
-import multiprocessing
 import os
 import re
 import sys
@@ -20,7 +19,7 @@ from txpack import GameParams, Mempool, ValidationError, load_mempool
 from txpack.cli import Rows, _emit
 from txpack.mempool import read_records
 
-from conftest import mempool_json, set_usable_cpus
+from conftest import assert_no_child_left, mempool_json, set_usable_cpus
 
 
 def test_load_golden_fixture(golden_mempool):
@@ -409,7 +408,7 @@ def test_forked_reader_error_leaves_no_worker(monkeypatch):
     doc = '{"transactions": [{"id": 1, "gas_price": 2}, {"id": 2, "gas_price": 3}]}'
     with pytest.raises(ValueError, match="slices"):
         load_mempool(doc)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))

@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import exclusion_frequency, random_unit_mempool
+from conftest import assert_no_child_left, exclusion_frequency, random_unit_mempool
 from conftest import set_usable_cpus as _set_usable_cpus
 
 from txpack import (
@@ -351,7 +352,7 @@ def test_worker_error_leaves_no_worker(monkeypatch, golden_mempool, golden_param
     source = _block_source("greedy", golden_mempool, golden_params)
     with pytest.raises(ValueError, match="chunk"):
         _trial_outcomes([source, source], golden_mempool.prices, 1.0, 7, 10)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def _reports_in_this_process():
@@ -373,13 +374,29 @@ def test_runs_inside_daemonic_worker(monkeypatch):
 
 
 def test_cli_import_leaves_out_multiprocessing(golden_mempool_file):
-    # Nor does loading a mempool below the forked reader's floor, such as the golden one.
+    # Nor does loading a mempool below the forked reader's floor, such as the golden one,
+    # nor a forked load, nor a forked simulation, whose workers run every chunk.
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("import sys, txpack.cli; print('multiprocessing' in sys.modules); "
-            "txpack.cli.load_mempool_file(sys.argv[1]); print('multiprocessing' in sys.modules)")
+    code = textwrap.dedent("""
+        import os, sys, txpack.cli, txpack.mempool
+        forks, fork = [], os.fork
+        os.fork = lambda: forks.append(1) or fork()
+        os.sched_getaffinity = lambda pid: {0, 1}
+        print("multiprocessing" in sys.modules)
+        mempool = txpack.cli.load_mempool_file(sys.argv[1])
+        print("multiprocessing" in sys.modules, len(forks))
+        txpack.mempool._FORK_BYTES, txpack.mempool._SLICE_BYTES = 0, 1
+        assert txpack.cli.load_mempool_file(sys.argv[1]).ids.tolist() == mempool.ids.tolist()
+        print("multiprocessing" in sys.modules, len(forks))
+        random = "numpy.random" in sys.modules
+        txpack.cli.run_experiment({"mempool": mempool, "lambda": 1.0, "k": 3, "trials": 500,
+                                   "seed": 7, "strategies": ["equilibrium", "greedy"]})
+        print("multiprocessing" in sys.modules, len(forks), not random and "numpy.random" in sys.modules)
+    """)
     run = subprocess.run(
         [sys.executable, "-c", code, str(golden_mempool_file)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["False", "False"]
+    # The parent only collects, so it never imports numpy.random, unless numpy 1.x did on import.
+    assert run.stdout.split() == ["False", "False", "0", "False", "2", "False", "4", "False"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -388,3 +389,19 @@ def test_greedy_strictly_dominated(golden_mempool, golden_params):
     u_greedy = expected_utility(greedy, greedy, golden_mempool, golden_params).value
     assert u_greedy == pytest.approx(GREEDY_UTILITY, rel=1e-12)
     assert u_greedy < u_eq
+
+
+def test_verify_holds_few_temporaries():
+    # The violation, the symmetric utility and the best response reuse their
+    # arrays, so the peak stays below four m-length float arrays.
+    m = 200_000
+    mempool, params = random_unit_mempool(np.random.default_rng(9), m), GameParams(k=m // 10, lam=1.0)
+    profile = solve_equilibrium(mempool, params)
+    tracemalloc.start()
+    try:
+        verdict = verify_equilibrium(profile, mempool, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.passes
+    assert peak < 4 * 8 * m

@@ -14,7 +14,6 @@ Library layout:
 
 from .equilibrium import (
     MarginalProfile,
-    clamp_marginals,
     compute_phat_real,
     solve_equilibrium,
     solve_xhat,

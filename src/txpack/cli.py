@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import json
 import math
 import os
@@ -40,8 +39,6 @@ from .verify import brute_force_check, brute_force_feasible, verify_equilibrium
 
 def _scalar(v) -> str:
     """One JSON scalar; floats at 12 significant digits, NaN and +-inf as null."""
-    if isinstance(v, bool) or v is None:
-        return json.dumps(v)
     if isinstance(v, float):
         return format(v, ".12g") if math.isfinite(v) else "null"
     return json.dumps(v)
@@ -136,13 +133,6 @@ def _write(obj, out, pad: str):
         out.write("\n" + pad + "]")
     else:
         out.write(_scalar(obj))
-
-
-def _dumps12(obj) -> str:
-    """JSON indented by two spaces, with floats rendered at 12 significant digits."""
-    out = io.StringIO()
-    _write(obj, out, "")
-    return out.getvalue()
 
 
 def _emit(doc, out_path):

@@ -304,32 +304,16 @@ def log_threshold(xhat: float, mempool: Mempool, params: GameParams) -> float:
     return -params.lam * params.k / mempool.total_size + mempool.mean_log_price + params.lam * xhat
 
 
-def clamp_marginals(
-    raw: np.ndarray, xhat: float, mempool: Mempool, params: GameParams
-) -> MarginalProfile:
-    """Truncate raw marginals at xhat and attach the equilibrium threshold's log; raw is kept."""
-    return _clamped(raw - xhat, xhat, mempool, params)
-
-
-def _clamped(values: np.ndarray, xhat: float, mempool: Mempool, params: GameParams) -> MarginalProfile:
-    """The profile of shifted marginals ``values``, which it clips in place and keeps."""
-    values.clip(0.0, 1.0, out=values)
-    profile = MarginalProfile(mempool.ids, values, float(xhat), log_threshold(xhat, mempool, params))
-    used = capacity(values, mempool.sizes)
-    if not abs(used - params.k) <= BUDGET_RTOL * max(1.0, params.k):  # NaN fails too
-        raise InvariantViolation(
-            f"clamped marginals use capacity {used!r}, expected {params.k!r}"
-        )
-    return profile
-
-
 def solve_equilibrium(mempool: Mempool, params: GameParams, mode: str = "fixed") -> MarginalProfile:
     """End-to-end equilibrium profile for a mempool.
 
     mode="fixed" plays fixed mode's game (``fixed_block_size``: integer k and
     unit sizes); mode="variable" allows arbitrary positive sizes. A mempool
     that fits entirely in one block yields the all-ones profile rather than
-    an error. Each solve leaves (k, lambda, xhat) on ``mempool.last_solve``
+    an error. Otherwise the profile's values are compute_phat_real's raw
+    marginals p clamped at the shift, min(max(p - xhat, 0), 1), which must
+    use capacity k or raise InvariantViolation; this is the package's one
+    clamp. Each solve leaves (k, lambda, xhat) on ``mempool.last_solve``
     for ``equilibrium_xhat``.
     """
     if mode == "fixed":
@@ -339,13 +323,18 @@ def solve_equilibrium(mempool: Mempool, params: GameParams, mode: str = "fixed")
     raw = compute_phat_real(mempool, params)
     xhat = _shift(raw, mempool, params)
     if mempool.total_size <= params.k:
-        log_w = log_threshold(xhat, mempool, params)
-        profile = MarginalProfile(mempool.ids, np.ones(len(mempool)), xhat, log_w)
+        values = np.ones(len(mempool))
     else:
-        raw -= xhat  # this solve's own array, so it becomes the profile's values
-        profile = _clamped(raw, xhat, mempool, params)
+        values = raw  # this solve's own array, shifted and clipped in place
+        values -= xhat
+        values.clip(0.0, 1.0, out=values)
+        used = capacity(values, mempool.sizes)
+        if not abs(used - params.k) <= BUDGET_RTOL * max(1.0, params.k):  # NaN fails too
+            raise InvariantViolation(
+                f"clamped marginals use capacity {used!r}, expected {params.k!r}"
+            )
     mempool.last_solve = (params.k, params.lam, xhat)  # one tuple, replaced whole
-    return profile
+    return MarginalProfile(mempool.ids, values, float(xhat), log_threshold(xhat, mempool, params))
 
 
 def equilibrium_xhat(mempool: Mempool, params: GameParams) -> float:

@@ -8,11 +8,12 @@ constructor, applies one rule set to them: ids are unique, non-negative,
 non-boolean 64-bit integers; ``gas_price`` and ``size`` are ints or floats
 (not booleans or strings), finite and > 0. A violation raises
 ValidationError naming the offending id. ``load_mempool_file`` maps the
-file rather than copying it. The columns come from
-``_fast_columns``, which parses the array with orjson a slice at a time,
-or, where it declines or its columns fail those rules, from
-``read_records``, the ``json`` record reader the CLI's profiles share;
-so every accepted mempool, refusal and message is ``read_records``'.
+file rather than copying it. The columns of a document held as bytes or a
+map come from ``_fast_columns``, which parses the array with orjson a
+slice at a time, or, where it declines or its columns fail those rules,
+from ``read_records``, the ``json`` record reader the CLI's profiles
+share; a document held as str goes to ``read_records`` alone. So every
+accepted mempool, refusal and message is ``read_records``'.
 ``fixed_block_size`` is fixed mode's one rule: integer k, unit sizes, and
 min(k, m) transactions a block.
 """
@@ -324,25 +325,21 @@ def _fast_columns(raw):
     orjson one at a time, so the records never all exist at once. A cut
     inside a string leaves the string open, which orjson refuses; so when
     every slice parses, the document is valid JSON and its array is the
-    slices' concatenation. ``raw`` is bytes, str or a read-only map. An
-    array of ``_FORK_BYTES`` or more is dealt in contiguous groups of slices
+    slices' concatenation. ``raw`` is bytes or a read-only map. An array
+    of ``_FORK_BYTES`` or more is dealt in contiguous groups of slices
     to one forked worker per usable CPU (``workers.fork_map``), which
     inherits ``raw``. Each worker writes its group's columns to its own
     region of a shared anonymous map, so only its record count crosses its
     pipe; this process parses no group, and joins the columns in order.
 
     None leaves the document to ``read_records``. That happens unless the
-    document is strict UTF-8 with no top-level key but "transactions" and
-    ``_slice_columns`` takes every slice. Records are then flat, so json's
-    recursion limit cannot refuse them, and orjson, whose recursion has no
-    limit, never nests deeper than ``_MAX_OPENS``. orjson refuses NaN,
-    Infinity and lone surrogates, and reads ints past 64 bits as floats.
+    document is bytes or a map (a str always goes to ``json``), strict UTF-8
+    with no top-level key but "transactions", and ``_slice_columns`` takes
+    every slice. Records are then flat, so json's recursion limit cannot
+    refuse them, and orjson, whose recursion has no limit, never nests
+    deeper than ``_MAX_OPENS``. orjson refuses NaN, Infinity and lone
+    surrogates, and reads ints past 64 bits as floats.
     """
-    if isinstance(raw, str):
-        try:
-            raw = raw.encode("utf-8")
-        except UnicodeEncodeError:  # a lone surrogate, which json.loads reads in a str
-            return None
     head = _HEAD.match(raw) if isinstance(raw, (bytes, mmap.mmap)) else None
     tail = _TAIL.search(raw, len(raw) - _TAIL_BYTES) if head else None
     if tail is None:
@@ -375,8 +372,9 @@ def _fast_columns(raw):
 def load_mempool(source) -> Mempool:
     """Parse the JSON wire format into a validated Mempool.
 
-    Accepts a file-like object, bytes, or str. Ordering of the input array
-    is preserved. Where ``_fast_columns`` declines, or its columns break a
+    Accepts a file-like object, bytes, or str; a str, or a text stream's
+    read, is parsed with ``json`` alone. Ordering of the input array is
+    preserved. Where ``_fast_columns`` declines, or its columns break a
     rule of ``from_arrays``, the ``json`` reader's result or error is the
     answer, so both readers accept and refuse the same documents.
     """

@@ -26,7 +26,6 @@ output does not depend on the CPU count.
 from __future__ import annotations
 
 import functools
-import itertools
 import numbers
 from dataclasses import asdict, dataclass, replace
 
@@ -66,15 +65,14 @@ class ExperimentReport:
         return asdict(self)
 
 
-def _block_source(name: str, mempool: Mempool, params: GameParams) -> tuple:
-    """(k, draw, select): a strategy's fixed-mode blocks of k transactions, in two steps.
+def _block_source(name: str, mempool: Mempool, params: GameParams, k: int) -> tuple:
+    """(draw, select): a strategy's fixed-mode blocks of k transactions, in two steps.
 
     ``draw(rng, n)`` takes from a trial's stream the least each of n blocks
     needs: one probe for a profile's segment sampler, a k-subset of
     positions for a uniform block. ``select`` turns the draws of a chunk of
     trials into an (n, k) mempool-position matrix.
     """
-    k = fixed_block_size(mempool, params)
     if name == "uniform-random-k":
         m = len(mempool)
 
@@ -82,7 +80,7 @@ def _block_source(name: str, mempool: Mempool, params: GameParams) -> tuple:
             # Selecting at once keeps k positions, not m keys, per block.
             return np.argpartition(rng.random((n, m)), k - 1, axis=1)[:, :k]
 
-        return k, draw, lambda chosen: chosen
+        return draw, lambda chosen: chosen
     if name == "equilibrium":
         profile = solve_equilibrium(mempool, params)
     elif name == "greedy":
@@ -91,7 +89,7 @@ def _block_source(name: str, mempool: Mempool, params: GameParams) -> tuple:
         raise ValidationError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
     # Both profiles list mempool.ids in order: segments labelled by position need no id lookup.
     sampler = SegmentSampler(replace(profile, ids=np.arange(len(mempool))), k)
-    return k, lambda rng, n: rng.random(n), sampler.select_many
+    return lambda rng, n: rng.random(n), sampler.select_many
 
 
 def _words(n: int) -> list:
@@ -203,7 +201,7 @@ def _chunk_trials(state: tuple, task: tuple) -> np.ndarray:
     """(4, stop - start) outcomes (see ``_chunk_outcomes``) of one task's trials.
 
     ``state`` is (sources, fees, lam, states): each source is
-    ``_block_source``'s (k, draw, select) and ``states[s]`` its
+    ``_block_source``'s (draw, select) and ``states[s]`` its
     ``_trial_states``; ``task`` is (s, start, stop). Trial t of source s
     sets ``_generator()`` to its own stream, draws gamma ~ Poisson(lam),
     then gamma + 1 blocks; the chunk's blocks are then selected and
@@ -212,7 +210,7 @@ def _chunk_trials(state: tuple, task: tuple) -> np.ndarray:
     sources, fees, lam, states = state
     rng = _generator()
     s_idx, start, stop = task
-    _, draw, select = sources[s_idx]
+    draw, select = sources[s_idx]
     gammas = np.empty(stop - start, dtype=np.int64)
     draws = []
     for i, words in enumerate(states[s_idx][start:stop].tolist()):
@@ -222,8 +220,8 @@ def _chunk_trials(state: tuple, task: tuple) -> np.ndarray:
     return _chunk_outcomes(select(np.concatenate(draws)), gammas, fees)
 
 
-def _trial_outcomes(sources: list, fees: np.ndarray, lam: float, seed: int, trials: int) -> list:
-    """Each source's (4, trials) per-trial outcomes (see ``_chunk_outcomes``).
+def _trial_outcomes(sources: list, k: int, fees: np.ndarray, lam: float, seed: int, trials: int) -> list:
+    """Each source's (4, trials) per-trial outcomes (see ``_chunk_outcomes``) with blocks of k.
 
     A source's trials are split into chunks of about ``_CHUNK_BYTES`` of
     flags and positions, and ``fork_map`` runs the (source, chunk) tasks,
@@ -233,12 +231,10 @@ def _trial_outcomes(sources: list, fees: np.ndarray, lam: float, seed: int, tria
     Each trial's outcome comes from its own stream and row, so the result
     is the same wherever the tasks run.
     """
-    chunks = []
-    for s_idx, (k, _, _) in enumerate(sources):
-        height = max(1, int(_CHUNK_BYTES // (8 * (len(fees) + (lam + 1) * k))))
-        chunks.append([(s_idx, start, min(start + height, trials)) for start in range(0, trials, height)])
+    height = max(1, int(_CHUNK_BYTES // (8 * (len(fees) + (lam + 1) * k))))
     # Round-robin over the sources, so each batch a worker takes mixes cheap and costly ones.
-    tasks = [task for tier in itertools.zip_longest(*chunks) for task in tier if task is not None]
+    tasks = [(s_idx, start, min(start + height, trials))
+             for start in range(0, trials, height) for s_idx in range(len(sources))]
     states = [_trial_states(seed, s_idx, trials) for s_idx in range(len(sources))]
     parts = fork_map(_chunk_trials, (sources, fees, lam, states), tasks)
     return [np.concatenate([part for (s, _, _), part in zip(tasks, parts) if s == s_idx], axis=1)
@@ -258,7 +254,7 @@ def run_experiment(config: dict) -> list:
     """
     mempool = config["mempool"]
     params = GameParams(k=config["k"], lam=config["lambda"])
-    fixed_block_size(mempool, params)
+    k = fixed_block_size(mempool, params)
     if len(mempool) == 0:
         raise ValidationError("empty mempool")
     trials = config["trials"]
@@ -276,8 +272,8 @@ def run_experiment(config: dict) -> list:
     names = list(config.get("strategies", ["equilibrium"]))
 
     fees = mempool.prices * mempool.sizes
-    sources = [_block_source(name, mempool, params) for name in names]
-    outcomes = _trial_outcomes(sources, fees, params.lam, seed, trials)
+    sources = [_block_source(name, mempool, params, k) for name in names]
+    outcomes = _trial_outcomes(sources, k, fees, params.lam, seed, trials)
     reports = []
     for name, (revenue, dup_rate, unique_cnt, chain_rev) in zip(names, outcomes):
         # One trial has no sample deviation; it is reported as NaN without computing it.

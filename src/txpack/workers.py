@@ -59,19 +59,28 @@ def fork_map(func, state, tasks: list) -> list:
     process = sys.modules.get("multiprocessing.process")  # imported in any multiprocessing worker
     if n < 2 or not hasattr(os, "fork") or (process and process.current_process().daemon):
         return [func(state, task) for task in tasks]
+    import signal  # here, not at the top: importing it costs every CLI start 0.4 ms
+
     pids, pipes = [], []  # workers not yet reaped; read ends of their pipes
     try:
         for w in range(n):
             read, write = os.pipe()
             pipes.append(read)
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())  # unchanged, so the finally restores it
             try:
+                # SIGINT stays blocked across the fork: one that arrives meanwhile,
+                # even in an at-fork hook, which would only print it, is raised by
+                # the finally's last call, once the worker's pid is in pids.
+                signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
                 # This process starts no threads of its own, and OpenBLAS stops
                 # its pool around a fork, so the workers inherit no held lock.
                 if (pid := os.fork()) == 0:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                     _work(func, state, tasks, w, n, write)
                 pids.append(pid)
             finally:
                 os.close(write)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         results, failures = [None] * len(tasks), []
         for w, (pid, read) in enumerate(zip(list(pids), pipes)):
             with open(read, "rb", closefd=False) as pipe:
@@ -91,9 +100,7 @@ def fork_map(func, state, tasks: list) -> list:
             raise error[0].__new__(error[0], error[1]) if isinstance(error, tuple) else error
         return results
     finally:
-        if pids:  # left by an error or an interrupt; importing signal costs every CLI start 0.4 ms
-            import signal
-        for pid in pids:
+        for pid in pids:  # left by an error or an interrupt
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         for read in pipes:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 from unittest import mock
@@ -18,7 +20,7 @@ from txpack import (
     solve_equilibrium,
 )
 import txpack.cli as cli_module
-from txpack.cli import Rows, _dumps12, main
+from txpack.cli import Rows, _emit, main
 from txpack.simulate import STRATEGY_NAMES
 
 from conftest import mempool_json
@@ -649,6 +651,14 @@ def test_verify_variable_mode_skips_brute_force(capsys, tmp_path, k):
     assert "brute_force" not in doc
 
 
+def _rendered(doc) -> str:
+    """doc as every subcommand writes it to stdout, without the closing newline."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(doc, None)
+    return out.getvalue().removesuffix("\n")
+
+
 def _reference_dumps12(obj, indent=0) -> str:
     """The recursive writer the flat one replaced, kept as the byte-level reference."""
     pad = "  " * indent
@@ -698,7 +708,7 @@ WRITER_CASES = {
 @pytest.mark.parametrize("case", WRITER_CASES)
 def test_writer_edge_case_bytes(case):
     doc, expected = WRITER_CASES[case]
-    assert _dumps12(doc) == expected
+    assert _rendered(doc) == expected
     assert _reference_dumps12(doc) == expected
 
 
@@ -724,7 +734,7 @@ _docs = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_docs)
 def test_writer_matches_reference(doc):
-    assert _dumps12(doc) == _reference_dumps12(doc)
+    assert _rendered(doc) == _reference_dumps12(doc)
 
 
 _marginal = st.one_of(
@@ -742,7 +752,7 @@ def test_rows_write_like_dict_rows(records, xhat, w):
     ids, ps = [i for i, _ in records], [p for _, p in records]
     rows = {"marginals": Rows(("id", "p"), (ids, ps)), "xhat": xhat, "w": w}
     dict_rows = {"marginals": [{"id": i, "p": p} for i, p in records], "xhat": xhat, "w": w}
-    assert _dumps12(rows) == _reference_dumps12(dict_rows)
+    assert _rendered(rows) == _reference_dumps12(dict_rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -750,7 +760,7 @@ def test_rows_write_like_dict_rows(records, xhat, w):
 def test_blocks_write_like_one_block(doc, block_rows):
     # Lists of scalars whose blocks differ in kind: some templated, some walked.
     with mock.patch.object(cli_module, "_BLOCK_ROWS", block_rows):
-        assert _dumps12(doc) == _reference_dumps12(doc)
+        assert _rendered(doc) == _reference_dumps12(doc)
 
 
 @settings(max_examples=200, deadline=None)
@@ -761,7 +771,7 @@ def test_array_rows_write_like_dict_rows(records, block_rows):
     ps = np.array([p for _, p in records], dtype=np.float64)
     dict_rows = {"marginals": [{"id": i, "p": p} for i, p in zip(ids.tolist(), ps.tolist())]}
     with mock.patch.object(cli_module, "_BLOCK_ROWS", block_rows):
-        assert _dumps12({"marginals": Rows(("id", "p"), (ids, ps))}) == _reference_dumps12(dict_rows)
+        assert _rendered({"marginals": Rows(("id", "p"), (ids, ps))}) == _reference_dumps12(dict_rows)
 
 
 _row_columns = st.one_of(
@@ -783,7 +793,7 @@ def test_columns_write_like_dict_rows(keyed, m, block_rows):
     values = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
     dict_rows = [dict(zip(keys, row)) for row in zip(*values)]
     with mock.patch.object(cli_module, "_BLOCK_ROWS", block_rows):
-        assert _dumps12({"rows": Rows(keys, columns)}) == _reference_dumps12({"rows": dict_rows})
+        assert _rendered({"rows": Rows(keys, columns)}) == _reference_dumps12({"rows": dict_rows})
 
 
 def _seeded_mempool_file(tmp_path, kind):

@@ -17,7 +17,6 @@ from txpack import (
     MempoolFitsInBlock,
     ValidationError,
     ZeroLatencyError,
-    clamp_marginals,
     compute_phat_real,
     solve_equilibrium,
     solve_xhat,
@@ -402,7 +401,7 @@ def test_compressed_slope_matches_the_boolean_index(instance, seed):
 
 
 def test_solve_leaves_its_inputs_alone():
-    """solve_equilibrium clamps its own array; clamp_marginals copies the caller's."""
+    """solve_equilibrium clamps its own array, never the mempool's columns or table."""
     rng = np.random.default_rng(31)
     mempool, params = random_sized_mempool(rng, 200), GameParams(k=40.0, lam=1.5)
     columns = lambda: [mempool.ids, mempool.prices, mempool.sizes, mempool.log_prices,
@@ -414,11 +413,6 @@ def test_solve_leaves_its_inputs_alone():
         assert not np.shares_memory(profile.values, new)
     assert not any(c.flags.writeable for c in columns()[:5])
     assert _raw_by_rank(mempool, params).tobytes() == np.sort(compute_phat_real(mempool, params)).tobytes()
-    raw = compute_phat_real(mempool, params)
-    kept = raw.copy()
-    clamped = clamp_marginals(raw, profile.xhat, mempool, params)
-    assert raw.tobytes() == kept.tobytes()
-    assert clamped.values.tobytes() == profile.values.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -468,9 +462,11 @@ def test_marginals_ignore_input_order_and_price_unit(game, seed, log_scale):
 
 
 class TestClampMarginals:
+    """solve_equilibrium's clamp: the raw marginals shifted by xhat and clipped to [0, 1]."""
+
     def test_golden_profile(self, golden_mempool, golden_params):
-        raw = compute_phat_real(golden_mempool, golden_params)
-        profile = clamp_marginals(raw, GOLDEN_XHAT, golden_mempool, golden_params)
+        profile = solve_equilibrium(golden_mempool, golden_params)
+        assert profile.xhat == pytest.approx(GOLDEN_XHAT, abs=1e-9)
         assert profile.values == pytest.approx(GOLDEN_PROFILE, abs=1e-9)
         assert profile.w == pytest.approx(GOLDEN_W, rel=1e-9)
         # interior spot check: v(tx3) * exp(-lambda/4) hits the threshold
@@ -479,9 +475,9 @@ class TestClampMarginals:
     def test_zero_shift_is_identity(self):
         mp = Mempool.from_arrays(range(4), [1.0] * 4)
         params = GameParams(k=2, lam=1.0)
-        raw = compute_phat_real(mp, params)
-        profile = clamp_marginals(raw, 0.0, mp, params)
-        assert profile.values == pytest.approx(raw, abs=1e-12)
+        profile = solve_equilibrium(mp, params)
+        assert profile.xhat == 0.0
+        assert profile.values.tobytes() == compute_phat_real(mp, params).tobytes()
 
     def test_threshold_cases_hold(self, golden_mempool, golden_params):
         profile = solve_equilibrium(golden_mempool, golden_params)
@@ -494,6 +490,18 @@ class TestClampMarginals:
                 assert disc >= w * (1 - 1e-9)
             else:
                 assert disc == pytest.approx(w, rel=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_solver_instances())
+def test_profile_is_the_clamped_raw_marginals(instance):
+    mempool, params = instance
+    profile = solve_equilibrium(mempool, params, mode="variable")
+    if mempool.total_size <= params.k:  # ones, where raw - xhat may round a hair below 1
+        want = np.ones(len(mempool))
+    else:
+        want = np.clip(compute_phat_real(mempool, params) - profile.xhat, 0.0, 1.0)
+    assert profile.values.tobytes() == want.tobytes()
 
 
 class TestSolveEquilibrium:

@@ -17,6 +17,7 @@ from txpack import (
     GameParams,
     Mempool,
     ValidationError,
+    fixed_block_size,
     greedy_profile,
     run_experiment,
     solve_equilibrium,
@@ -39,7 +40,7 @@ def _trial_rng(seed, strategy_index, trial):
 
 def _chunk(mempool, name, params, gammas, seed):
     """``_chunk_outcomes`` of trials facing ``gammas`` rivals, and their blocks as positions."""
-    _, draw, select = _block_source(name, mempool, params)
+    draw, select = _block_source(name, mempool, params, fixed_block_size(mempool, params))
     pos = select(draw(np.random.default_rng(seed), int(gammas.sum()) + len(gammas)))
     return _chunk_outcomes(pos, gammas, mempool.prices * mempool.sizes), pos
 
@@ -139,8 +140,8 @@ def test_experiment_deterministic(golden_mempool):
 
 def _outcomes(mempool, name, lam, seed, trials, k=3):
     params = GameParams(k=k, lam=lam)
-    source = _block_source(name, mempool, params)
-    return _trial_outcomes([source], mempool.prices * mempool.sizes, lam, seed, trials)[0]
+    source = _block_source(name, mempool, params, k)
+    return _trial_outcomes([source], k, mempool.prices * mempool.sizes, lam, seed, trials)[0]
 
 
 def test_trial_prefix_stable(golden_mempool):
@@ -171,7 +172,7 @@ def test_chunk_height_invariance(monkeypatch, name):
 
 def _reference_trial_outcomes(source, mempool, lam, seed, trials):
     """The per-trial loop the chunked kernel replaced, kept as its reference."""
-    _, draw, select = source
+    draw, select = source
     fees = mempool.prices * mempool.sizes
     out = np.zeros((4, trials))
     for t in range(trials):
@@ -194,7 +195,7 @@ def test_kernel_matches_per_trial_loop(name):
     mempool = _shuffled_mempool(120)
     params = GameParams(k=20, lam=2.5)
     got = _outcomes(mempool, name, 2.5, 5, 300, k=20)
-    want = _reference_trial_outcomes(_block_source(name, mempool, params), mempool, 2.5, 5, 300)
+    want = _reference_trial_outcomes(_block_source(name, mempool, params, 20), mempool, 2.5, 5, 300)
     np.testing.assert_array_equal(got[1:3], want[1:3])
     np.testing.assert_allclose(got[[0, 3]], want[[0, 3]], rtol=1e-13, atol=0)
 
@@ -317,7 +318,7 @@ def test_pool_matches_serial(monkeypatch):
     # usable CPU every chunk runs in this process; with two, none does.
     mempool = _shuffled_mempool(300)
     params = GameParams(k=30, lam=2.5)
-    sources = [_block_source(name, mempool, params) for name in STRATEGY_NAMES]
+    sources = [_block_source(name, mempool, params, 30) for name in STRATEGY_NAMES]
     cfg = config(mempool, k=30, trials=400, strategies=list(STRATEGY_NAMES), **{"lambda": 2.5})
     monkeypatch.setattr(simulate, "_CHUNK_BYTES", 1 << 14)
     here = []
@@ -331,7 +332,7 @@ def test_pool_matches_serial(monkeypatch):
         # "error" filter, so it is recorded here and checked.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", DeprecationWarning)
-            outcomes = _trial_outcomes(sources, mempool.prices, 2.5, 7, 400)
+            outcomes = _trial_outcomes(sources, 30, mempool.prices, 2.5, 7, 400)
             reports = [r.to_json_dict() for r in run_experiment(cfg)]
         assert [str(w.message) for w in caught if w.category is DeprecationWarning] == []
         got[cpus] = outcomes, reports, len(here)
@@ -349,9 +350,9 @@ def test_worker_error_leaves_no_worker(monkeypatch, golden_mempool, golden_param
 
     _set_usable_cpus(monkeypatch, 2)
     monkeypatch.setattr(simulate, "_chunk_trials", fail)
-    source = _block_source("greedy", golden_mempool, golden_params)
+    source = _block_source("greedy", golden_mempool, golden_params, 3)
     with pytest.raises(ValueError, match="chunk"):
-        _trial_outcomes([source, source], golden_mempool.prices, 1.0, 7, 10)
+        _trial_outcomes([source, source], 3, golden_mempool.prices, 1.0, 7, 10)
     assert_no_child_left()
 
 

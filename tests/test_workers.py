@@ -3,12 +3,17 @@
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from conftest import assert_no_child_left, set_usable_cpus
 
+import txpack
 from txpack.workers import fork_map
 
 
@@ -130,7 +135,7 @@ def test_killed_worker_raises(monkeypatch):
 
 def test_interrupted_caller_leaves_no_worker(monkeypatch):
     # Worker 1 interrupts the caller once it waits for worker 0; both workers are then ended.
-    # The pause keeps the signal out of the caller's fork, whose at-fork hooks would swallow it.
+    # The pause lets the caller reach that wait before the signal comes.
     set_usable_cpus(monkeypatch, 2)
     caller = os.getpid()
 
@@ -147,3 +152,46 @@ def test_interrupted_caller_leaves_no_worker(monkeypatch):
         fork_map(interrupt_and_sleep, None, [0, 1])
     assert time.monotonic() - start < 30
     assert_no_child_left()
+
+
+def test_interrupt_during_a_fork_is_raised():
+    # An at-fork hook interrupts the caller as its first worker starts. The
+    # interrupt is raised at once and the worker ended, where it once went to
+    # the hook, which printed it, and the call waited for the workers' naps.
+    # A hook cannot be unregistered, so this runs in its own interpreter.
+    code = textwrap.dedent("""
+        import os, signal, time
+        from txpack import workers
+
+        workers.usable_cpus = lambda: 2
+        sent = []
+
+        def interrupt():
+            if not sent:
+                sent.append(True)
+                os.kill(os.getpid(), signal.SIGINT)
+
+        def nap(state, seconds):
+            time.sleep(seconds)
+            return seconds
+
+        os.register_at_fork(after_in_parent=interrupt)
+        start = time.monotonic()
+        try:
+            print(workers.fork_map(nap, None, [3, 3]))
+        except KeyboardInterrupt:
+            print("interrupted")
+        print(f"{time.monotonic() - start:.2f}")
+        try:
+            print(os.waitpid(-1, os.WNOHANG))
+        except ChildProcessError:
+            print("no child")
+    """)
+    src = str(Path(txpack.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    result, seconds, child = run.stdout.split("\n")[:3]
+    assert (result, child) == ("interrupted", "no child"), run.stdout
+    assert float(seconds) < 2.0
+    assert "Exception ignored" not in run.stderr

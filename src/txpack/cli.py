@@ -206,6 +206,8 @@ def cmd_sample(args):
     mempool, params = _load(args)
     if args.mode == "variable":
         kprime = args.kprime if args.kprime is not None else 0.95 * params.k
+        if not (math.isfinite(kprime) and kprime > 0):
+            raise ValidationError(f"--kprime must be finite and > 0, got {kprime!r}")
         reduced = solve_equilibrium(mempool, GameParams(kprime, params.lam), mode="variable")
         rng = np.random.default_rng(_seed(args))
         block, attempts = rejection_sample_block(mempool, reduced, params.k, rng)

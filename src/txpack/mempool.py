@@ -27,6 +27,7 @@ import numbers
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 import orjson
@@ -259,7 +260,7 @@ def read_records(source, what: str, key: str, fields: dict) -> tuple:
 
 
 _WS = rb"[ \t\n\r]*"  # JSON's whitespace; a bytes \s also takes \f and \v, which json refuses
-_HEAD = re.compile(_WS + rb"\{" + _WS + rb'"transactions"' + _WS + rb":" + _WS + rb"\[" + _WS + rb"\{")
+_HEAD = re.compile(_WS + rb"\{" + _WS + rb'"([^"\\]*)"' + _WS + rb":" + _WS + rb"\[" + _WS + rb"\{")
 _TAIL = re.compile(rb"\}" + _WS + rb"\]" + _WS + rb"\}" + _WS + rb"\Z")
 _CUT = re.compile(rb"\}" + _WS + rb"," + _WS + rb"\{")
 _TAIL_BYTES = 1 << 12  # the closing }]} is looked for in the document's last 4 KiB
@@ -271,13 +272,14 @@ _FORK_BYTES = 20 << 20
 _MEMPOOL_FIELDS = {"id": None, "gas_price": None, "size": 1.0}
 
 
-def _slice_columns(raw: bytes, bounds: list):
-    """(ids, prices, sizes) of the array slices ``raw[start:stop]`` in ``bounds``, or None.
+def _slice_columns(raw: bytes, bounds: list, fields: dict):
+    """Columns of ``read_records``' ``fields`` in the slices ``raw[start:stop]`` in ``bounds``, or None.
 
-    Each slice is parsed as ``[{slice}]`` and turned into columns before the
-    next. None when a slice holds ``[`` or more than ``_MAX_OPENS`` ``{``, or
-    when it is not one flat record per ``{``, each a dict with an integer id
-    and int or float gas_price and size.
+    Each slice is parsed as ``[{slice}]`` and turned into columns, int64 for
+    the first field and float64 for the rest, before the next. None when a
+    slice holds ``[`` or more than ``_MAX_OPENS`` ``{``, or when it is not one
+    flat record per ``{``, each a dict with an int first field and int or
+    float others, every field without a default present.
     """
     chunks = []
     for start, stop in bounds:
@@ -288,15 +290,15 @@ def _slice_columns(raw: bytes, bounds: list):
             return None
         try:
             records = orjson.loads(piece)
-            ids = [r["id"] for r in records]
-            prices = [r["gas_price"] for r in records]
-            sizes = [r.get("size", 1.0) for r in records]
+            # A missing field with no default reads None, which the type test refuses.
+            ids, *numbers = [list(map(dict.get, records, repeat(f), repeat(default)))
+                             for f, default in fields.items()]
             if (len(records) != opens or {*map(type, ids)} != {int}
-                    or not {*map(type, prices), *map(type, sizes)} <= {int, float}):
+                    or not {*map(type, chain.from_iterable(numbers))} <= {int, float}):
                 return None
-            chunks.append((np.array(ids, dtype=np.int64), np.array(prices, dtype=np.float64),
-                           np.array(sizes, dtype=np.float64)))
-        except (orjson.JSONDecodeError, TypeError, KeyError, AttributeError, OverflowError):
+            chunks.append([np.array(ids, dtype=np.int64)]
+                          + [np.array(column, dtype=np.float64) for column in numbers])
+        except (orjson.JSONDecodeError, TypeError, OverflowError):  # TypeError: a record not a dict
             return None
     return tuple(np.concatenate(column) for column in zip(*chunks))
 
@@ -304,12 +306,12 @@ def _slice_columns(raw: bytes, bounds: list):
 def _group_columns(state: tuple, task: tuple):
     """Record count of one group of slices, whose columns go to its region of ``shared``; or None.
 
-    ``state`` is (raw, shared) and ``task`` (offset, capacity, bounds): the
-    region holds ``capacity`` ids, then as many prices, then sizes.
+    ``state`` is (raw, shared, fields) and ``task`` (offset, capacity,
+    bounds): the region holds ``capacity`` values of each field in turn.
     """
-    raw, shared = state
+    raw, shared, fields = state
     offset, capacity, bounds = task
-    columns = _slice_columns(raw, bounds)
+    columns = _slice_columns(raw, bounds, fields)
     if columns is None or len(columns[0]) > capacity:
         return None
     for j, column in enumerate(columns):
@@ -317,8 +319,8 @@ def _group_columns(state: tuple, task: tuple):
     return len(columns[0])
 
 
-def _fast_columns(raw):
-    """(ids, prices, sizes) arrays of a ``{"transactions": [{...}, ...]}`` document, or None.
+def _fast_columns(raw, key: str, fields: dict):
+    """``read_records``' columns of a ``{key: [{...}, ...]}`` document as arrays, or None.
 
     The array is cut at ``}, {`` (JSON whitespace around the comma) into
     slices of about ``_SLICE_BYTES``, and ``_slice_columns`` parses them with
@@ -334,14 +336,14 @@ def _fast_columns(raw):
 
     None leaves the document to ``read_records``. That happens unless the
     document is bytes or a map (a str always goes to ``json``), strict UTF-8
-    with no top-level key but "transactions", and ``_slice_columns`` takes
+    with no top-level key but ``key``, and ``_slice_columns`` takes
     every slice. Records are then flat, so json's recursion limit cannot
     refuse them, and orjson, whose recursion has no limit, never nests
     deeper than ``_MAX_OPENS``. orjson refuses NaN, Infinity and lone
     surrogates, and reads ints past 64 bits as floats.
     """
     head = _HEAD.match(raw) if isinstance(raw, (bytes, mmap.mmap)) else None
-    tail = _TAIL.search(raw, len(raw) - _TAIL_BYTES) if head else None
+    tail = _TAIL.search(raw, len(raw) - _TAIL_BYTES) if head and head[1] == key.encode() else None
     if tail is None:
         return None
     start, end = head.end(), tail.start()
@@ -352,20 +354,21 @@ def _fast_columns(raw):
     bounds.append((start, end))
     workers = usable_cpus() if end - head.end() >= _FORK_BYTES else 1
     if workers == 1:
-        return _slice_columns(raw, bounds)
+        return _slice_columns(raw, bounds, fields)
     step = -(-len(bounds) // workers)
     groups = [bounds[i:i + step] for i in range(0, len(bounds), step)]
     # A region holds more records than its group's bytes can: each takes 22 or more.
     capacities = [(group[-1][1] - group[0][0]) // 16 + 1 for group in groups]
-    offsets = [24 * sum(capacities[:i]) for i in range(len(groups))]
-    shared = mmap.mmap(-1, 24 * sum(capacities))
-    counts = fork_map(_group_columns, (raw, shared), list(zip(offsets, capacities, groups)))
+    width = 8 * len(fields)  # bytes a record takes in the shared map
+    offsets = [width * sum(capacities[:i]) for i in range(len(groups))]
+    shared = mmap.mmap(-1, width * sum(capacities))
+    counts = fork_map(_group_columns, (raw, shared, fields), list(zip(offsets, capacities, groups)))
     if None in counts:
         return None
     return tuple(
         np.concatenate([np.frombuffer(shared, dtype, n, offset + 8 * j * capacity)
                         for offset, capacity, n in zip(offsets, capacities, counts)])
-        for j, dtype in enumerate((np.int64, np.float64, np.float64))
+        for j, dtype in enumerate([np.int64] + [np.float64] * (len(fields) - 1))
     )
 
 
@@ -383,7 +386,7 @@ def load_mempool(source) -> Mempool:
 
 def _load_raw(raw) -> Mempool:
     """``load_mempool`` of a document held as bytes, str or a read-only map."""
-    columns = _fast_columns(raw)
+    columns = _fast_columns(raw, "transactions", _MEMPOOL_FIELDS)
     if columns is not None:
         try:
             return Mempool.from_arrays(*columns)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -87,9 +87,8 @@ def _block_source(name: str, mempool: Mempool, params: GameParams, k: int) -> tu
         profile = greedy_profile(mempool, params)
     else:
         raise ValidationError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
-    # Both profiles list mempool.ids in order: segments labelled by position need no id lookup.
-    sampler = SegmentSampler(replace(profile, ids=np.arange(len(mempool))), k)
-    return lambda rng, n: rng.random(n), sampler.select_many
+    # Both profiles list mempool.ids in order: profile positions are mempool positions.
+    return lambda rng, n: rng.random(n), SegmentSampler(profile, k).select_many
 
 
 def _words(n: int) -> list:

@@ -64,12 +64,13 @@ class MixedStrategy:
 class SegmentSampler:
     """Segment layout of a profile, reusable across many draws.
 
-    ``cum[i]`` and ``cum[i + 1]`` bound the segment of ``ids[i]``, the i-th
-    id with a nonzero marginal; ``ids`` is gathered on first use, and
-    ``select`` gathers only the ids of the block it draws. The ends
-    are snapped to finish at exactly k, so a transaction is selected with
-    probability equal to its marginal to rounding plus |sum(p) - k|, the
-    profile's budget residual, which the snap moves onto the last segments.
+    ``cum[i]`` and ``cum[i + 1]`` bound the segment of ``_nonzero[i]``, the
+    i-th profile position with a nonzero marginal, and ``select_many``
+    returns profile positions; a caller that needs ids takes them from
+    ``profile.ids``. The ends are snapped to finish at exactly k, so a
+    transaction is selected with probability equal to its marginal to
+    rounding plus |sum(p) - k|, the profile's budget residual, which the
+    snap moves onto the last segments.
     """
 
     def __init__(self, profile: MarginalProfile, k: int):
@@ -79,8 +80,7 @@ class SegmentSampler:
             raise ValidationError(f"profile marginals sum to {total!r}, expected {k}")
         check_marginals(values)
         nz = np.flatnonzero(values > 0.0)
-        self.k = k
-        self._profile_ids, self._nonzero = profile.ids, nz
+        self.k, self._nonzero = k, nz
         lengths = values.take(nz)
         np.minimum(lengths, 1.0, out=lengths)  # check_marginals lets a value pass 1 by 1e-12
         cum = np.empty(len(nz) + 1)
@@ -95,20 +95,8 @@ class SegmentSampler:
         self._whole_steps = (whole[1:] != whole[:-1]).view(np.int8)
         self._frac = np.subtract(cum, whole, out=whole)
 
-    @cached_property
-    def ids(self) -> np.ndarray:
-        return self._profile_ids.take(self._nonzero)
-
-    def select(self, r: float) -> np.ndarray:
-        """The ids of the segments covering r, r+1, ..., r+k-1, in layout order."""
-        return self._profile_ids.take(self._nonzero.take(self._segments([r])[0]))
-
-    def select_many(self, rs: np.ndarray) -> np.ndarray:
-        """(n, k) id matrix: row i holds the segments covering r_i, r_i+1, ..., r_i+k-1."""
-        return self.ids.take(self._segments(rs))
-
-    def _segments(self, rs) -> np.ndarray:
-        """(n, k) matrix of segment indices: row i holds those covering r_i, ..., r_i+k-1."""
+    def select_many(self, rs) -> np.ndarray:
+        """(n, k) profile positions: row i holds the segments covering r_i, r_i+1, ..., r_i+k-1."""
         rs = np.asarray(rs, dtype=np.float64)
         # Probes r + j below cum[i]: floor(cum[i]) + (frac(cum[i]) > r); a
         # segment holds one where that count steps up.
@@ -119,7 +107,7 @@ class SegmentSampler:
         # array; each row has k hits, so row i's flat indices are offset by i * width.
         at = np.flatnonzero(steps.view(np.bool_)).reshape(len(rs), self.k)
         at -= (np.arange(len(rs)) * steps.shape[1])[:, None]
-        return at
+        return self._nonzero.take(at)
 
 
 def _cap_segments(cum: np.ndarray):
@@ -156,7 +144,7 @@ def corresponding_strategy(profile: MarginalProfile, k: int) -> MixedStrategy:
     breaks = breaks[keep]
     wide = np.diff(breaks) > 1e-12
     a, b = breaks[:-1][wide], breaks[1:][wide]
-    atoms = sampler.select_many(0.5 * (a + b)).tolist()
+    atoms = profile.ids.take(sampler.select_many(0.5 * (a + b))).tolist()
     return MixedStrategy(b - a, tuple(map(frozenset, atoms)), tuple(zip(a.tolist(), b.tolist())))
 
 
@@ -164,7 +152,7 @@ def sample_block(profile: MarginalProfile, r: float, k: int) -> Block:
     """Deterministically map r in [0,1) to the block of the profile's segment layout."""
     if not 0.0 <= r < 1.0:
         raise ValidationError(f"r must lie in [0, 1), got {r!r}")
-    ids = SegmentSampler(profile, k).select(r)
+    ids = profile.ids.take(SegmentSampler(profile, k).select_many([r])[0])
     return Block(np.sort(ids), float(len(ids)))
 
 

@@ -96,7 +96,7 @@ def exclusion_frequency(mempool, profile, txid, params, trials, seed):
     rng = np.random.default_rng(seed)
     gammas = rng.poisson(params.lam, trials)
     sampler = SegmentSampler(profile, fixed_block_size(mempool, params))
-    hit = (sampler.select_many(rng.random(int(gammas.sum()))) == txid).any(axis=1)
+    hit = (profile.ids.take(sampler.select_many(rng.random(int(gammas.sum())))) == txid).any(axis=1)
     hits_before = np.concatenate([[0], np.cumsum(hit)])
     bounds = np.concatenate([[0], np.cumsum(gammas)])
     return float(np.mean(hits_before[bounds[1:]] == hits_before[bounds[:-1]]))

@@ -77,7 +77,8 @@ def test_c02_segment_intervals_and_probe(golden_mempool, golden_params):
         return profile, sampler
 
     (profile, sampler), elapsed = best_time(build)
-    got = dict(zip(sampler.ids.tolist(), zip(sampler.cum[:-1], sampler.cum[1:])))
+    ids = profile.ids.take(sampler._nonzero)
+    got = dict(zip(ids.tolist(), zip(sampler.cum[:-1], sampler.cum[1:])))
     intervals_ok = set(got) == set(GOLDEN_INTERVALS) and all(
         abs(got[t][0] - a) <= 1e-12 and abs(got[t][1] - b) <= 1e-12
         for t, (a, b) in GOLDEN_INTERVALS.items()

@@ -851,6 +851,16 @@ def test_sample_kprime_above_k_exits_1(capsys, golden_mempool_file):
     assert err == "error: acceptance window [7.0, 3.0] is empty: no draw can fit\n"
 
 
+@pytest.mark.parametrize("kprime, shown", [("0", "0.0"), ("-1", "-1.0"), ("nan", "nan")])
+def test_sample_refuses_a_bad_kprime_by_its_flag(capsys, golden_mempool_file, kprime, shown):
+    rc, out, err = run_cli(
+        capsys, "sample", "--mempool", str(golden_mempool_file), "--k", "3", "--lambda", "1",
+        "--mode", "variable", "--kprime", kprime,
+    )
+    assert rc == 1 and out == ""
+    assert err == f"error: --kprime must be finite and > 0, got {shown}\n"
+
+
 @pytest.mark.parametrize("mode, flag", [("variable", "--r"), ("fixed", "--kprime")])
 def test_sample_refuses_the_flag_its_mode_ignores(capsys, golden_mempool_file, mode, flag):
     rc, out, err = run_cli(

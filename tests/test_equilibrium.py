@@ -1,7 +1,9 @@
+import math
 import os
 import subprocess
 import sys
 from bisect import bisect_left
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -22,7 +24,7 @@ from txpack import (
     solve_xhat,
 )
 import txpack.equilibrium as equilibrium
-from txpack.equilibrium import BUDGET_RTOL, _bracket, _model_guess, clamp_sum
+from txpack.equilibrium import BUDGET_RTOL, _bracket, _model_guess, clamp_sum, log_threshold
 
 from conftest import (
     GOLDEN_PHAT,
@@ -248,6 +250,93 @@ def test_xhat_bits_match_reference(instance):
     mempool, params = instance
     got, want = _solve_both(mempool, params)
     assert got == want
+
+
+_UNIT = 2.0 ** -53
+
+
+def _exact_crossing(raw, sizes, c, strict: bool):
+    """Where f(x) = sum s * min(max(p - x, 0), 1), in exact arithmetic on the float64 inputs, crosses c.
+
+    With ``strict`` the smallest x with f(x) <= c, else the largest x with
+    f(x) >= c; -inf or inf where f is on that side everywhere. f is
+    continuous, non-increasing and linear between its sorted breakpoints p
+    and p - 1, so a bisection over them and one interpolation find it.
+    """
+    terms = [(Fraction(p), Fraction(s)) for p, s in zip(raw.tolist(), sizes.tolist())]
+    b = sorted({p - shift for p, _ in terms for shift in (0, 1)})
+
+    def f(x):
+        return sum(s * min(max(p - x, 0), 1) for p, s in terms)
+
+    def beyond(value):  # whether f is still on the far side of c
+        return value > c if strict else value >= c
+
+    if not beyond(f(b[0])):
+        return -math.inf  # f is the total size at and below b[0]
+    j = bisect_left(range(len(b)), True, key=lambda i: not beyond(f(b[i]))) - 1
+    if j == len(b) - 1:
+        return math.inf  # f(b[-1]) = 0 >= c
+    f_j, f_next = f(b[j]), f(b[j + 1])
+    return b[j] + (f_j - c) * (b[j + 1] - b[j]) / (f_j - f_next)
+
+
+@st.composite
+def _oracle_instances(draw):
+    """(mempool, params) small enough for exact arithmetic: m 1-40, log prices in [-300, 300]
+    drawn from a few distinct values, unit or widely spread sizes, lambda log-uniform in
+    [1e-3, 1e4], and k anywhere below the total size or an ulp either side of it."""
+    m = draw(st.integers(1, 40))
+    distinct = draw(st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=m))
+    prices = np.exp(draw(st.lists(st.sampled_from(distinct), min_size=m, max_size=m)))
+    sizes = None if draw(st.booleans()) else draw(st.lists(st.floats(1e-6, 1e6), min_size=m, max_size=m))
+    mp = Mempool.from_arrays(np.arange(m), prices, sizes)
+    total = mp.total_size
+    k = draw(st.one_of(
+        st.floats(1e-3, 0.999).map(lambda share: share * total),
+        st.sampled_from([np.nextafter(total, 0.0), total, np.nextafter(total, np.inf)]),
+    ))
+    lam = math.exp(draw(st.floats(math.log(1e-3), math.log(1e4))))
+    return mp, GameParams(k=float(k), lam=lam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_oracle_instances())
+def test_xhat_and_log_w_are_within_their_rounding_bounds_of_the_exact_root(instance):
+    mempool, params = instance
+    raw = compute_phat_real(mempool, params)
+    xhat = solve_xhat(raw, mempool, params)
+    m, k, lam = len(mempool), params.k, params.lam
+    exact_k, exact_lam = Fraction(k), Fraction(lam)
+    # f's rounding bound as _proves_at_most_k states it: 8 * gamma_(m+8) times the terms' magnitudes.
+    size_sums, _, _, spread = mempool.price_order
+    q = k / mempool.total_size
+    gamma = (m + 8) * _UNIT / (1.0 - (m + 8) * _UNIT)
+    delta = Fraction(8.0 * gamma * (size_sums.item(m) * (1.0 + q + abs(xhat - q)) + spread / lam))
+    # Mapped to x through f's exact inverse, which divides it by |slope| on the root's piece.
+    lo = _exact_crossing(raw, mempool.sizes, exact_k + delta, strict=True)
+    hi = _exact_crossing(raw, mempool.sizes, exact_k - delta, strict=False)
+    ulps = Fraction(4 * _UNIT * (1.0 + abs(xhat)))
+    assert lo - ulps <= xhat <= hi + ulps, (float(lo), xhat, float(hi))
+
+    # ln w = -lambda k / S + (sum s ln v) / S + lambda x, exact on the float64 sizes and ln v,
+    # within gamma_(m+8) times its terms' magnitudes, plus lambda times x's slack.
+    sizes = [Fraction(s) for s in mempool.sizes.tolist()]
+    logs = [Fraction(v) for v in mempool.log_prices.tolist()]
+    total = sum(sizes)
+    mean = sum(s * v for s, v in zip(sizes, logs)) / total
+    mean_magnitude = sum(s * abs(v) for s, v in zip(sizes, logs)) / total
+    slack = Fraction(gamma) * (exact_lam * exact_k / total + mean_magnitude + exact_lam * abs(Fraction(xhat)))
+    slack += exact_lam * ulps
+
+    def exact_log_w(x):
+        return -exact_lam * exact_k / total + mean + exact_lam * x
+
+    log_w = log_threshold(xhat, mempool, params)
+    if lo != -math.inf:
+        assert exact_log_w(lo) - slack <= log_w, (float(exact_log_w(lo)), log_w)
+    if hi != math.inf:
+        assert log_w <= exact_log_w(hi) + slack, (log_w, float(exact_log_w(hi)))
 
 
 def _wrong_guesses(mempool, params):

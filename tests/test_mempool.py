@@ -382,6 +382,11 @@ def test_forked_reader_matches_serial(doc, cpus, slice_bytes):
     assert_same_outcome(forked, serial)
 
 
+def fast_columns(doc):
+    """The fast reader's columns of a mempool document, or None where it declines."""
+    return mempool_module._fast_columns(doc, "transactions", mempool_module._MEMPOOL_FIELDS)
+
+
 def _fork_every_slice(monkeypatch, cpus):
     """Fork at any size, one record a slice; returns the list that collects each call's groups."""
     set_usable_cpus(monkeypatch, cpus)
@@ -403,7 +408,7 @@ def test_forked_reader_refuses_in_the_last_group(monkeypatch, last, fast, outcom
     records = [f'{{"id": {i}, "gas_price": {i + 1}}}' for i in range(29)] + [last]
     doc = ('{"transactions": [' + ", ".join(records) + "]}").encode()
     groups = _fork_every_slice(monkeypatch, 3)
-    assert (mempool_module._fast_columns(doc) is not None) == fast
+    assert (fast_columns(doc) is not None) == fast
     # One group of ten slices a worker: the last record is the third worker's.
     assert [len(bounds) for _, _, bounds in groups[0]] == [10, 10, 10]
     got, ref = read_both(doc)
@@ -415,7 +420,7 @@ def test_forked_reader_refuses_in_the_last_group(monkeypatch, last, fast, outcom
 
 
 def test_forked_reader_error_leaves_no_worker(monkeypatch):
-    def fail(raw, bounds):
+    def fail(raw, bounds, fields):
         raise ValueError(f"slices {bounds} failed")
 
     _fork_every_slice(monkeypatch, 2)
@@ -431,7 +436,7 @@ def test_fast_reader_takes_every_layout(layout):
     literals = ["2.5", "1e-310"]
     records = [{"id": 4, "gas_price": "\0lit0\0"}, {"id": 2**63 - 1, "gas_price": "\0lit1\0", "size": 3}]
     doc = (render([("transactions", records)], layout, literals) + "\n").encode()
-    columns = mempool_module._fast_columns(doc)
+    columns = fast_columns(doc)
     assert [c.tolist() for c in columns] == [[4, 2**63 - 1], [2.5, 1e-310], [1.0, 3.0]]
     assert_same_outcome(load_mempool(doc), json_reader(doc))
 
@@ -461,7 +466,7 @@ def test_fast_reader_declines(doc):
         doc = doc.encode("utf-8")
     except UnicodeEncodeError:  # a raw lone surrogate: the str goes to json
         pass
-    assert mempool_module._fast_columns(doc) is None
+    assert fast_columns(doc) is None
     assert_same_outcome(*read_both(doc))
 
 

@@ -42,7 +42,8 @@ class TestCorrespondingStrategy:
     def test_golden_intervals(self, golden_mempool, golden_params):
         profile = solve_equilibrium(golden_mempool, golden_params)
         sampler = SegmentSampler(profile, 3)
-        got = dict(zip(sampler.ids.tolist(), zip(sampler.cum[:-1], sampler.cum[1:])))
+        ids = profile.ids.take(sampler._nonzero)
+        got = dict(zip(ids.tolist(), zip(sampler.cum[:-1], sampler.cum[1:])))
         assert set(got) == set(GOLDEN_INTERVALS)  # tx7 has p = 0: no segment
         for t, (a, b) in GOLDEN_INTERVALS.items():
             assert got[t][0] == pytest.approx(a, abs=1e-12)
@@ -160,20 +161,20 @@ class TestSampleBlock:
         sampler = SegmentSampler(profile, 3)
         n = 200_000
         rng = np.random.default_rng(5)
-        blocks = sampler.select_many(rng.random(n))
+        blocks = profile.ids.take(sampler.select_many(rng.random(n)))
         for txid, p in profile.as_dict().items():
             freq = (blocks == txid).any(axis=1).mean()
             se = np.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(freq - p) <= 4 * se + 1e-9
 
 
-def rational_selection(cum, ids, r, k):
-    """Ids of the segments [cum[i], cum[i+1]) holding r, r+1, ..., r+k-1, in exact arithmetic."""
+def rational_selection(cum, labels, r, k):
+    """Labels of the segments [cum[i], cum[i+1]) holding r, r+1, ..., r+k-1, in exact arithmetic."""
     ends = [Fraction(c) for c in cum]
     out = []
     for j in range(k):
         probe = Fraction(r) + j
-        out.append(int(ids[next(i for i in range(len(ends) - 1) if ends[i] <= probe < ends[i + 1])]))
+        out.append(int(labels[next(i for i in range(len(ends) - 1) if ends[i] <= probe < ends[i + 1])]))
     return out
 
 
@@ -212,7 +213,7 @@ class TestExactSelection:
             rs = [0.0, 0.25, 0.5, LAST_R, 0.37] + rng.random(3).tolist()
             rows = sampler.select_many(np.array(rs))
             for r, row in zip(rs, rows):
-                assert row.tolist() == rational_selection(sampler.cum, sampler.ids, r, k), (values, k, r)
+                assert row.tolist() == rational_selection(sampler.cum, sampler._nonzero, r, k), (values, k, r)
 
     @pytest.mark.parametrize("k", [2, 5])
     def test_largest_r_gives_k_distinct_ids(self, k):
@@ -240,7 +241,7 @@ class TestExactSelection:
         assert sampler.cum[-2:].tolist() == [2.0, 2.0] and np.all(np.diff(sampler.cum) >= 0.0)
         for r in (0.0, 0.5, LAST_R):
             ids = sample_block(profile, r, k=2).ids.tolist()
-            assert ids == sorted(rational_selection(sampler.cum, sampler.ids, r, 2))
+            assert ids == sorted(rational_selection(sampler.cum, profile.ids.take(sampler._nonzero), r, 2))
             assert len(set(ids)) == 2 and 4 not in ids
 
     @pytest.mark.parametrize("seed", range(5))
@@ -259,14 +260,15 @@ class TestExactSelection:
             assert sample_block(profile, float(r), k=k).txids == atom
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_select_gathers_the_row_select_many_gathers(self, seed):
+    def test_sampler_holds_only_the_nonzero_positions(self, seed):
         rng = np.random.default_rng(320 + seed)
         mp = random_unit_mempool(rng, 300)
         profile = solve_equilibrium(mp, GameParams(k=60, lam=float(rng.uniform(0.2, 3))))
         sampler = SegmentSampler(profile, 60)
+        assert np.count_nonzero(profile.values) == len(sampler._nonzero) < len(mp)
         for r in rng.random(20):
-            assert sampler.select(float(r)).tolist() == sampler.select_many([r])[0].tolist()
-        assert np.count_nonzero(profile.values) == len(sampler.ids) < len(mp)
+            block = sample_block(profile, float(r), k=60)
+            assert block.ids.tolist() == np.sort(profile.ids.take(sampler.select_many([r])[0])).tolist()
 
 
 class TestRejectionSampler:

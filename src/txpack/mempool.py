@@ -10,10 +10,10 @@ non-boolean 64-bit integers; ``gas_price`` and ``size`` are ints or floats
 ValidationError naming the offending id. ``load_mempool_file`` maps the
 file rather than copying it. The columns of a document held as bytes or a
 map come from ``_fast_columns``, which parses the array with orjson a
-slice at a time, or, where it declines or its columns fail those rules,
-from ``read_records``, the ``json`` record reader the CLI's profiles
-share; a document held as str goes to ``read_records`` alone. So every
-accepted mempool, refusal and message is ``read_records``'.
+slice at a time into one shared map, or, where it declines or its
+columns fail those rules, from ``read_records``, the ``json`` record
+reader the CLI's profiles share; a str document goes to ``read_records``
+alone. So every accepted mempool, refusal and message is ``read_records``'.
 ``fixed_block_size`` is fixed mode's one rule: integer k, unit sizes, and
 min(k, m) transactions a block.
 """
@@ -265,78 +265,73 @@ _TAIL = re.compile(rb"\}" + _WS + rb"\]" + _WS + rb"\}" + _WS + rb"\Z")
 _CUT = re.compile(rb"\}" + _WS + rb"," + _WS + rb"\{")
 _TAIL_BYTES = 1 << 12  # the closing }]} is looked for in the document's last 4 KiB
 _SLICE_BYTES = 1 << 15  # array bytes parsed per orjson call
-_MAX_OPENS = _SLICE_BYTES // 16  # above the flat records of 22+ bytes that a slice holds
+# Below the 22 bytes of the smallest flat mempool record, {"id":0,"gas_price":1},
+# so n array bytes hold fewer than n // _MIN_RECORD_BYTES + 1 records.
+_MIN_RECORD_BYTES = 16
+_MAX_OPENS = _SLICE_BYTES // _MIN_RECORD_BYTES
 # Arrays this long or longer are parsed in forked workers: twice the crossover
 # measured on a 2-vCPU VM, where 8.8 MiB (1.5e5 unit records) was a wash.
 _FORK_BYTES = 20 << 20
 _MEMPOOL_FIELDS = {"id": None, "gas_price": None, "size": 1.0}
 
 
-def _slice_columns(raw: bytes, bounds: list, fields: dict):
-    """Columns of ``read_records``' ``fields`` in the slices ``raw[start:stop]`` in ``bounds``, or None.
+def _group_columns(state: tuple, task: tuple):
+    """Record count of one group of slices, whose columns go to its region of ``shared``; or None.
 
-    Each slice is parsed as ``[{slice}]`` and turned into columns, int64 for
-    the first field and float64 for the rest, before the next. None when a
-    slice holds ``[`` or more than ``_MAX_OPENS`` ``{``, or when it is not one
-    flat record per ``{``, each a dict with an int first field and int or
-    float others, every field without a default present.
+    ``state`` is (raw, shared, fields, dtypes) and ``task`` (offset,
+    capacity, bounds): the region holds ``capacity`` values of each of
+    ``read_records``' ``fields`` in turn, of its dtype in ``dtypes``. Each
+    slice ``raw[start:stop]`` in ``bounds`` is parsed as ``[{slice}]`` and
+    written after the slices before it. None when a slice holds ``[`` or
+    more than ``_MAX_OPENS`` ``{``, when its ``{`` would overfill the
+    region, or when it is not one flat record per ``{``, each a dict with an
+    int first field and int or float others, every field without a default
+    present.
     """
-    chunks = []
+    raw, shared, fields, dtypes = state
+    offset, capacity, bounds = task
+    n = 0
     for start, stop in bounds:
         # An unnamed view, so no frame of a raised error keeps a map from closing.
         piece = b"".join((b"[{", memoryview(raw)[start:stop], b"}]"))
         opens = int(np.count_nonzero(np.frombuffer(piece, np.uint8) == ord("{")))
-        if piece.find(b"[", 1) >= 0 or opens > _MAX_OPENS:
+        if piece.find(b"[", 1) >= 0 or opens > _MAX_OPENS or n + opens > capacity:
             return None
         try:
             records = orjson.loads(piece)
             # A missing field with no default reads None, which the type test refuses.
-            ids, *numbers = [list(map(dict.get, records, repeat(f), repeat(default)))
-                             for f, default in fields.items()]
+            ids, *numbers = columns = [list(map(dict.get, records, repeat(f), repeat(default)))
+                                       for f, default in fields.items()]
             if (len(records) != opens or {*map(type, ids)} != {int}
                     or not {*map(type, chain.from_iterable(numbers))} <= {int, float}):
                 return None
-            chunks.append([np.array(ids, dtype=np.int64)]
-                          + [np.array(column, dtype=np.float64) for column in numbers])
+            for j, (column, dtype) in enumerate(zip(columns, dtypes)):
+                np.frombuffer(shared, dtype, opens, offset + 8 * (j * capacity + n))[:] = column
         except (orjson.JSONDecodeError, TypeError, OverflowError):  # TypeError: a record not a dict
             return None
-    return tuple(np.concatenate(column) for column in zip(*chunks))
-
-
-def _group_columns(state: tuple, task: tuple):
-    """Record count of one group of slices, whose columns go to its region of ``shared``; or None.
-
-    ``state`` is (raw, shared, fields) and ``task`` (offset, capacity,
-    bounds): the region holds ``capacity`` values of each field in turn.
-    """
-    raw, shared, fields = state
-    offset, capacity, bounds = task
-    columns = _slice_columns(raw, bounds, fields)
-    if columns is None or len(columns[0]) > capacity:
-        return None
-    for j, column in enumerate(columns):
-        np.frombuffer(shared, column.dtype, len(column), offset + 8 * j * capacity)[:] = column
-    return len(columns[0])
+        n += opens
+    return n
 
 
 def _fast_columns(raw, key: str, fields: dict):
     """``read_records``' columns of a ``{key: [{...}, ...]}`` document as arrays, or None.
 
     The array is cut at ``}, {`` (JSON whitespace around the comma) into
-    slices of about ``_SLICE_BYTES``, and ``_slice_columns`` parses them with
+    slices of about ``_SLICE_BYTES``, and ``_group_columns`` parses them with
     orjson one at a time, so the records never all exist at once. A cut
     inside a string leaves the string open, which orjson refuses; so when
     every slice parses, the document is valid JSON and its array is the
-    slices' concatenation. ``raw`` is bytes or a read-only map. An array
-    of ``_FORK_BYTES`` or more is dealt in contiguous groups of slices
-    to one forked worker per usable CPU (``workers.fork_map``), which
-    inherits ``raw``. Each worker writes its group's columns to its own
-    region of a shared anonymous map, so only its record count crosses its
-    pipe; this process parses no group, and joins the columns in order.
+    slices' concatenation. ``raw`` is bytes or a read-only map. The slices
+    are dealt in contiguous groups, one below ``_FORK_BYTES`` of array and
+    one per usable CPU from there, and ``workers.fork_map`` runs the
+    groups: one group in this process, several in forked workers, which
+    inherit ``raw``. Each group's columns go to its own region of a shared
+    anonymous map, so only its record count crosses a pipe, and the
+    regions are joined in order.
 
     None leaves the document to ``read_records``. That happens unless the
     document is bytes or a map (a str always goes to ``json``), strict UTF-8
-    with no top-level key but ``key``, and ``_slice_columns`` takes
+    with no top-level key but ``key``, and ``_group_columns`` takes
     every slice. Records are then flat, so json's recursion limit cannot
     refuse them, and orjson, whose recursion has no limit, never nests
     deeper than ``_MAX_OPENS``. orjson refuses NaN, Infinity and lone
@@ -353,22 +348,21 @@ def _fast_columns(raw, key: str, fields: dict):
         start = cut.end()
     bounds.append((start, end))
     workers = usable_cpus() if end - head.end() >= _FORK_BYTES else 1
-    if workers == 1:
-        return _slice_columns(raw, bounds, fields)
     step = -(-len(bounds) // workers)
     groups = [bounds[i:i + step] for i in range(0, len(bounds), step)]
-    # A region holds more records than its group's bytes can: each takes 22 or more.
-    capacities = [(group[-1][1] - group[0][0]) // 16 + 1 for group in groups]
+    capacities = [(group[-1][1] - group[0][0]) // _MIN_RECORD_BYTES + 1 for group in groups]
     width = 8 * len(fields)  # bytes a record takes in the shared map
     offsets = [width * sum(capacities[:i]) for i in range(len(groups))]
     shared = mmap.mmap(-1, width * sum(capacities))
-    counts = fork_map(_group_columns, (raw, shared, fields), list(zip(offsets, capacities, groups)))
+    dtypes = [np.int64] + [np.float64] * (len(fields) - 1)
+    counts = fork_map(_group_columns, (raw, shared, fields, dtypes),
+                      list(zip(offsets, capacities, groups)))
     if None in counts:
         return None
     return tuple(
         np.concatenate([np.frombuffer(shared, dtype, n, offset + 8 * j * capacity)
                         for offset, capacity, n in zip(offsets, capacities, counts)])
-        for j, dtype in enumerate([np.int64] + [np.float64] * (len(fields) - 1))
+        for j, dtype in enumerate(dtypes)
     )
 
 

@@ -1,9 +1,10 @@
 """Independent tasks in forked worker processes, one per usable CPU.
 
 ``fork_map`` is the one place the package starts processes, for
-``simulate``'s chunks of trials and ``mempool``'s groups of slices. It uses
-``os.fork`` and pipes, not ``multiprocessing``, whose import alone would
-add about 10 ms to every CLI start.
+``simulate``'s chunks of trials and every mempool read's groups of slices,
+a lone group running in the calling process. It uses ``os.fork`` and
+pipes, not ``multiprocessing``, whose import alone would add about 10 ms
+to every CLI start.
 """
 
 from __future__ import annotations

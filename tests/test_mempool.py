@@ -420,15 +420,27 @@ def test_forked_reader_refuses_in_the_last_group(monkeypatch, last, fast, outcom
 
 
 def test_forked_reader_error_leaves_no_worker(monkeypatch):
-    def fail(raw, bounds, fields):
-        raise ValueError(f"slices {bounds} failed")
+    def fail(state, task):
+        raise ValueError(f"slices {task[2]} failed")
 
     _fork_every_slice(monkeypatch, 2)
-    monkeypatch.setattr(mempool_module, "_slice_columns", fail)
+    monkeypatch.setattr(mempool_module, "_group_columns", fail)
     doc = b'{"transactions": [{"id": 1, "gas_price": 2}, {"id": 2, "gas_price": 3}]}'
     with pytest.raises(ValueError, match="slices"):
         load_mempool(doc)
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus, slices", [(1, [6]), (3, [2, 2, 2])], ids=["1cpu", "3cpus"])
+def test_a_group_that_would_overfill_its_region_declines(monkeypatch, cpus, slices):
+    # Each region holds one record, so a group's second slice would write into the next region.
+    groups = _fork_every_slice(monkeypatch, cpus)
+    monkeypatch.setattr(mempool_module, "_MIN_RECORD_BYTES", 1 << 20)
+    records = [f'{{"id": {i}, "gas_price": {i + 1}}}' for i in range(6)]
+    doc = ('{"transactions": [' + ", ".join(records) + "]}").encode()
+    assert fast_columns(doc) is None
+    assert [(capacity, len(bounds)) for _, capacity, bounds in groups[0]] == [(1, n) for n in slices]
+    assert_same_outcome(load_mempool(doc), json_reader(doc))
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
